@@ -12,10 +12,10 @@ import sys
 import time
 
 from . import __version__
-from .complexes import SimplicialComplex, alexander_dual_ideal, vertices_of
+from .complexes import SimplicialComplex, alexander_dual_ideal
 from .dual_graph import UNBOUNDED, build_dual_graph, diameter, distance_pair
 from .errors import SrdualError
-from .families import FAMILY_NAMES, FamilyId, build, expected_diameter
+from .families import FAMILY_NAMES, TABLE1, FamilyId, build, expected_diameter
 from .fileio import export_graph, parse_facet_file, serialize_facet_file
 from .gluing import GlueSpec, glue
 from .search import SearchBudget, bounds, enumerate_mu
@@ -25,13 +25,6 @@ from .serre import is_buchsbaum, is_locally_connected, is_s2, connected_componen
 def _read_complex(path: str, letters: bool) -> SimplicialComplex:
     with open(path) as fh:
         return parse_facet_file(fh.read(), letters=letters)
-
-
-def _facet_label(cx: SimplicialComplex, mask: int) -> str:
-    parts = [cx.vertex_name(v) for v in vertices_of(mask)]
-    if all(len(p) == 1 for p in parts):
-        return "".join(parts)
-    return " ".join(parts)
 
 
 def _lookup_facet(cx: SimplicialComplex, token: str) -> int:
@@ -78,10 +71,10 @@ def _cmd_check(args) -> int:
     if witness is not None and not holds:
         u, v_, s = witness
         lines.append("witness: %s, %s separated at %s" % (
-            _facet_label(cx, u), _facet_label(cx, v_),
-            _facet_label(cx, s) if s else "(empty face)"))
-        payload["witness"] = [_facet_label(cx, u), _facet_label(cx, v_),
-                              _facet_label(cx, s)]
+            cx.facet_name(u), cx.facet_name(v_),
+            cx.facet_name(s) if s else "(empty face)"))
+        payload["witness"] = [cx.facet_name(u), cx.facet_name(v_),
+                              cx.facet_name(s)]
     _emit(args, payload, lines)
     return 0 if holds else 1
 
@@ -100,7 +93,7 @@ def _cmd_diameter(args) -> int:
         lines = ["distance: %s" % ("unbounded" if dist is UNBOUNDED else dist)]
         payload = {"distance": None if dist is UNBOUNDED else dist}
         if path is not None:
-            labels = [_facet_label(cx, f) for f in path]
+            labels = [cx.facet_name(f) for f in path]
             lines.append("path: " + " -- ".join(labels))
             payload["path"] = labels
         _emit(args, payload, lines)
@@ -121,7 +114,7 @@ def _cmd_dual_graph(args) -> int:
 def _cmd_alexander_dual(args) -> int:
     cx = _read_complex(args.file, args.letters)
     ideal = alexander_dual_ideal(cx)
-    lines = [_facet_label(cx, gmask) for gmask in ideal.generators]
+    lines = [cx.facet_name(gmask) for gmask in ideal.generators]
     _emit(args, {"n": ideal.n, "generators": lines}, lines)
     return 0
 
@@ -159,7 +152,7 @@ def _cmd_construct(args) -> int:
 def _cmd_search_mu(args) -> int:
     budget = SearchBudget(max_nodes=args.budget_nodes,
                           max_seconds=args.budget_seconds)
-    res = enumerate_mu(args.d, args.n, budget=budget, threads=args.threads,
+    res = enumerate_mu(args.d, args.n, budget=budget,
                        checkpoint=args.checkpoint)
     lines = ["mu(%d, %d) %s %d" % (res.d, res.n,
                                    "=" if res.exhaustive else ">=", res.mu),
@@ -172,7 +165,7 @@ def _cmd_search_mu(args) -> int:
                "elapsed": res.elapsed, "witness": None}
     if res.witness is not None:
         w = res.witness
-        labels = [_facet_label(w, f) for f in w.facets]
+        labels = [w.facet_name(f) for f in w.facets]
         lines.append("witness: " + " ".join(labels))
         payload["witness"] = labels
     _emit(args, payload, lines)
@@ -188,15 +181,11 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-_TABLE_CELLS = ([(2, n) for n in range(4, 11)]
-                + [(3, 7), (3, 8), (3, 9), (3, 10), (4, 8), (4, 9)])
-
-
 def _cmd_verify_table(args) -> int:
     t0 = time.monotonic()
     ok = True
     report = []
-    for d, n in _TABLE_CELLS:
+    for d, n in TABLE1:
         fam = FamilyId("table1_witness", d=d, n=n)
         want = expected_diameter(fam)
         cx = build(fam, check=False)
@@ -216,7 +205,7 @@ def _cmd_verify_table(args) -> int:
                          indent=2))
     else:
         print("verify-table: %s (%d cells, %.1f s)" % (
-            "all ok" if ok else "FAILURES", len(_TABLE_CELLS), elapsed))
+            "all ok" if ok else "FAILURES", len(TABLE1), elapsed))
     return 0 if ok else 1
 
 
@@ -285,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-mu", help="exhaustive/bounded search for mu(d,n)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget-nodes", type=int)
     p.add_argument("--budget-seconds", type=float)
     p.add_argument("--checkpoint", help="resumable checkpoint file")

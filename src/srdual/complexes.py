@@ -44,6 +44,19 @@ def vertices_of(mask: VertexSet) -> list[int]:
     return out
 
 
+def image(mask: VertexSet, mapping) -> VertexSet:
+    """The vertex set `mask` under a vertex map (dict or sequence)."""
+    return mask_of(mapping[v] for v in vertices_of(mask))
+
+
+def facet_label(mask: VertexSet, names: Sequence[str]) -> str:
+    """Vertex names of `mask`, run together when all are one character."""
+    parts = [names[v] for v in vertices_of(mask)]
+    if all(len(p) == 1 for p in parts):
+        return "".join(parts)
+    return " ".join(parts)
+
+
 def default_names(n: int) -> tuple[str, ...]:
     """A..Z for small universes, x1, x2, ... beyond."""
     letters = string.ascii_uppercase
@@ -93,16 +106,15 @@ class SimplicialComplex:
     def codim(self) -> Optional[int]:
         return None if self.d is None else self.n - self.d
 
+    @property
+    def vertex_names(self) -> tuple[str, ...]:
+        return self.names if self.names is not None else default_names(self.n)
+
     def vertex_name(self, v: int) -> str:
-        if self.names is not None:
-            return self.names[v]
-        return default_names(self.n)[v]
+        return self.vertex_names[v]
 
     def facet_name(self, mask: int) -> str:
-        parts = [self.vertex_name(v) for v in vertices_of(mask)]
-        if all(len(p) == 1 for p in parts):
-            return "".join(parts)
-        return " ".join(parts)
+        return facet_label(mask, self.vertex_names)
 
     def has_face(self, face: int) -> bool:
         return any(face & f == face for f in self.facets)
@@ -185,14 +197,25 @@ def link(cx: SimplicialComplex, face: VertexSet) -> SimplicialComplex:
     residues = antichain(residues)
     if residues == [0]:
         return _EMPTY_FACE_COMPLEX
+    return compact(residues, cx.vertex_names)
+
+
+def compact(facets: Iterable[int],
+            names: Optional[Sequence[str]] = None) -> SimplicialComplex:
+    """Complex on just the vertices `facets` use, relabeled in order.
+
+    `names`, if given, names the old universe; the result keeps the names
+    of the vertices it retains.
+    """
+    facets = list(facets)
     used = 0
-    for r in residues:
-        used |= r
+    for f in facets:
+        used |= f
     old = vertices_of(used)
     pos = {v: i for i, v in enumerate(old)}
-    remapped = [mask_of(pos[v] for v in vertices_of(r)) for r in residues]
-    names = tuple(cx.vertex_name(v) for v in old)
-    return SimplicialComplex(len(old), tuple(sorted(remapped)), names)
+    remapped = sorted(image(f, pos) for f in facets)
+    kept = tuple(names[v] for v in old) if names is not None else None
+    return SimplicialComplex(len(old), tuple(remapped), kept)
 
 
 @dataclass(frozen=True)
@@ -246,7 +269,7 @@ def relabel(cx: SimplicialComplex, perm: Sequence[int]) -> SimplicialComplex:
     """Apply a vertex permutation; perm[v] is the new label of v."""
     if sorted(perm) != list(range(cx.n)):
         raise NotABijection("perm is not a bijection on 0..%d" % (cx.n - 1))
-    facets = [mask_of(perm[v] for v in vertices_of(f)) for f in cx.facets]
+    facets = [image(f, perm) for f in cx.facets]
     names = None
     if cx.names is not None:
         names = list(cx.names)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex, vertices_of
+from .complexes import SimplicialComplex, default_names, facet_label
 from .errors import DimensionTooSmall, EmptyGraph, NotPure, UnknownNode
 
 
@@ -50,16 +50,8 @@ class DualGraph:
         mask = self.node_facets[i]
         if complement:
             mask = ((1 << self.n) - 1) & ~mask
-        parts = [self._vname(v) for v in vertices_of(mask)]
-        if all(len(p) == 1 for p in parts):
-            return "".join(parts)
-        return " ".join(parts)
-
-    def _vname(self, v: int) -> str:
-        if self.names is not None:
-            return self.names[v]
-        from .complexes import default_names
-        return default_names(self.n)[v]
+        names = self.names if self.names is not None else default_names(self.n)
+        return facet_label(mask, names)
 
 
 def build_dual_graph(cx: SimplicialComplex) -> DualGraph:
@@ -81,13 +73,18 @@ def build_dual_graph(cx: SimplicialComplex) -> DualGraph:
     return DualGraph(cx.n, d, facets, tuple(adj), cx.names)
 
 
-def _bfs_levels(g: DualGraph, start: int):
-    """Yield (distance, bitmask-of-nodes-at-distance) from node `start`."""
-    seen = 1 << start
-    frontier = seen
-    dist = 0
-    yield dist, frontier
-    adj = g.adjacency
+def bfs(adj, start: int, allowed: int, levels: Optional[list] = None):
+    """Breadth-first search over bitset adjacency, inside `allowed`.
+
+    `adj[i]` is the neighbor mask of node i and `start` a mask of start
+    nodes.  Returns (reached, depth): the mask of nodes reached and the
+    number of levels past the start.  With a `levels` list, the mask of
+    each level, the start first, is appended to it.
+    """
+    seen = frontier = start
+    depth = 0
+    if levels is not None:
+        levels.append(start)
     while True:
         nxt = 0
         f = frontier
@@ -95,23 +92,20 @@ def _bfs_levels(g: DualGraph, start: int):
             b = f & -f
             nxt |= adj[b.bit_length() - 1]
             f ^= b
-        frontier = nxt & ~seen
+        frontier = nxt & allowed & ~seen
         if not frontier:
-            return
+            return seen, depth
         seen |= frontier
-        dist += 1
-        yield dist, frontier
+        depth += 1
+        if levels is not None:
+            levels.append(frontier)
 
 
 def eccentricity(g: DualGraph, start: int):
     """Max BFS distance from `start`; UNBOUNDED if some node is unreachable."""
-    reached = 0
-    dist = 0
-    for dist, level in _bfs_levels(g, start):
-        reached |= level
-    if reached != (1 << g.node_count) - 1:
-        return UNBOUNDED
-    return dist
+    everything = (1 << g.node_count) - 1
+    reached, depth = bfs(g.adjacency, 1 << start, everything)
+    return depth if reached == everything else UNBOUNDED
 
 
 def diameter(g: DualGraph):
@@ -135,8 +129,10 @@ def distance_pair(g: DualGraph, a: int, b: int, want_path: bool = False):
     toward the lowest-index predecessor, so paths are deterministic.
     """
     ia, ib = g.node_index(a), g.node_index(b)
+    levels: list[int] = []
+    bfs(g.adjacency, 1 << ia, (1 << g.node_count) - 1, levels)
     dist_to: dict[int, int] = {}
-    for dist, level in _bfs_levels(g, ia):
+    for dist, level in enumerate(levels):
         f = level
         while f:
             bit = f & -f
@@ -185,7 +181,5 @@ def induced_on_superfacets(g: DualGraph, s: int) -> DualGraph:
 def is_connected(g: DualGraph) -> bool:
     if g.node_count == 0:
         return True
-    reached = 0
-    for _, level in _bfs_levels(g, 0):
-        reached |= level
-    return reached == (1 << g.node_count) - 1
+    everything = (1 << g.node_count) - 1
+    return bfs(g.adjacency, 1, everything)[0] == everything

@@ -85,6 +85,10 @@ class ParseError(SrdualError):
         self.line = line
 
 
+class ContractViolation(SrdualError):
+    """A result broke a postcondition the library promises."""
+
+
 class BoundViolation(SrdualError):
     """A complex exceeded a proved upper bound: reproducer attached."""
 

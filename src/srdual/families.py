@@ -8,12 +8,20 @@ diameter and (S2) verdict; the search hot path turns that off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
-from .complexes import SimplicialComplex, cone, from_facets, mask_of
+from .complexes import (
+    SimplicialComplex,
+    cone,
+    from_facets,
+    image,
+    mask_of,
+    vertices_of,
+)
 from .dual_graph import build_dual_graph, diameter
-from .errors import BadParams, UnknownFamily
-from .gluing import GlueSpec, append_facet_chain, glue
+from .errors import BadParams, ContractViolation, UnknownFamily
+from .gluing import GlueSpec, append_facet_chain, glue, right_vertex_map
 from .serre import is_s2
 
 FAMILY_NAMES = (
@@ -102,30 +110,14 @@ def _path2(n):
 def _glue_at(left, left_facet, right, right_facet):
     """Glue right onto left, identifying right_facet with left_facet.
 
-    Vertices are matched in ascending index order; the end facet of the
-    result (the image of right's far vertices) is returned with it.
+    Vertices are matched in ascending index order; the map of right's
+    vertices into the result is returned with it.
     """
-    from .complexes import vertices_of
     lv, rv = vertices_of(left_facet), vertices_of(right_facet)
     if len(lv) != len(rv):
         raise BadParams("glue facets differ in size")
-    identify = dict(zip(rv, lv))
-    out = glue(GlueSpec(left, right, identify))
-    # image of a right-side mask in the result
-    mapping = {}
-    fresh = left.n
-    for v in range(right.n):
-        if v in identify:
-            mapping[v] = identify[v]
-        else:
-            mapping[v] = fresh
-            fresh += 1
-    return out, mapping
-
-
-def _image(mask, mapping):
-    from .complexes import vertices_of
-    return mask_of(mapping[v] for v in vertices_of(mask))
+    spec = GlueSpec(left, right, dict(zip(rv, lv)))
+    return glue(spec), right_vertex_map(spec)
 
 
 def _glued_d4(k, j):
@@ -138,7 +130,7 @@ def _glued_d4(k, j):
     end = efgh
     for _ in range(k - 1):
         cx, mapping = _glue_at(cx, end, block, abcd)
-        end = _image(efgh, mapping)
+        end = image(efgh, mapping)
     if j:
         cx = append_facet_chain(cx, end, j)
     return cx
@@ -159,12 +151,12 @@ def _glued_d3(k, j):
             cx, end = g2, ijk
         else:
             cx, mapping = _glue_at(cx, end, g2, abc)
-            end = _image(ijk, mapping)
+            end = image(ijk, mapping)
     if cx is None:
         cx, end = g1, hij
     else:
         cx, mapping = _glue_at(cx, end, g1, abc)
-        end = _image(hij, mapping)
+        end = image(hij, mapping)
     if j:
         cx = append_facet_chain(cx, end, j)
     return cx
@@ -183,36 +175,36 @@ def _glued_d3_g0(k, j):
     cx, end = g0, deh
     for _ in range(k - 1):
         cx, mapping = _glue_at(cx, end, g2, abc)
-        end = _image(ijk, mapping)
+        end = image(ijk, mapping)
     cx, mapping = _glue_at(cx, end, g1, abc)
-    end = _image(hij, mapping)
+    end = image(hij, mapping)
     if j > 4:
         cx = append_facet_chain(cx, end, j - 4)
     return cx
 
 
-_TABLE1_FIXED = {
-    (3, 7): ("fig_a2", 5),
-    (3, 8): ("fig_a4", 6),
-    (3, 9): ("fig_a4_ehi", 7),
-    (3, 10): ("fig_a5", 9),
-    (4, 8): ("dim4", 6),
-    (4, 9): ("dim4_efgi", 7),
-}
+#: Table 1 of the paper: (d, n) -> (witness builder, its diameter).
+TABLE1 = {(2, n): (partial(_path2, n), n - 2) for n in range(4, 11)}
+TABLE1.update({
+    (3, 7): (_fig_a2, 5),
+    (3, 8): (_fig_a4, 6),
+    (3, 9): (_fig_a4_ehi, 7),
+    (3, 10): (_fig_a5, 9),
+    (4, 8): (_dim4, 6),
+    (4, 9): (_dim4_efgi, 7),
+})
+
+#: Witnesses by cell.  The table's (3, 6) entry conflicts with the
+#: exhaustive mu(3,6) = 3; this cone of a path attains it.
+_WITNESSES = {**TABLE1, (3, 6): (lambda: cone(_path2(5), 1), 3)}
 
 
 def _table1_witness(d, n):
     if d is None or n is None:
         raise BadParams("table1_witness needs d and n")
-    if d == 2 and n >= 3:
-        return _path2(n)
-    if (d, n) == (3, 6):
-        # the diameter-3 construction; the search module arbitrates the
-        # conflicting table entry
-        return cone(_path2(5), 1)
-    if (d, n) in _TABLE1_FIXED:
-        return build(FamilyId(_TABLE1_FIXED[(d, n)][0]), check=False)
-    raise BadParams("no witness recorded for d=%d, n=%d" % (d, n))
+    if (d, n) not in _WITNESSES:
+        raise BadParams("no witness recorded for d=%d, n=%d" % (d, n))
+    return _WITNESSES[(d, n)][0]()
 
 
 def expected_diameter(fam: FamilyId) -> Optional[int]:
@@ -230,13 +222,8 @@ def expected_diameter(fam: FamilyId) -> Optional[int]:
         return 10 * k - 1 + (j or 0)
     if name == "glued_d3_g0":
         return 10 * k + j + 1
-    if name == "table1_witness":
-        if d == 2:
-            return n - 2
-        if (d, n) == (3, 6):
-            return 3
-        if (d, n) in _TABLE1_FIXED:
-            return _TABLE1_FIXED[(d, n)][1]
+    if name == "table1_witness" and (d, n) in _WITNESSES:
+        return _WITNESSES[(d, n)][1]
     return None
 
 
@@ -271,8 +258,10 @@ def build(fam: FamilyId, check: bool = True) -> SimplicialComplex:
         want = expected_diameter(fam)
         if want is not None:
             got = diameter(build_dual_graph(cx))
-            assert got == want, "%s: diameter %r != %d" % (fam, got, want)
-        assert is_s2(cx).holds, "%s: not (S2)" % (fam,)
+            if got != want:
+                raise ContractViolation("%s: diameter %r != %d" % (fam, got, want))
+        if not is_s2(cx).holds:
+            raise ContractViolation("%s: not (S2)" % (fam,))
     return cx
 
 

@@ -13,12 +13,15 @@ from typing import Mapping
 from .complexes import (
     SimplicialComplex,
     antichain,
+    compact,
     default_names,
+    image,
     mask_of,
     vertices_of,
 )
 from .errors import (
     BadParams,
+    ContractViolation,
     DimensionMismatch,
     NotAFacet,
     OverlapNotPure,
@@ -38,7 +41,7 @@ class GlueSpec:
     level: int = 2
 
 
-def _relabel_right(spec: GlueSpec):
+def right_vertex_map(spec: GlueSpec) -> dict[int, int]:
     """Map right vertices into the result universe; fresh ones after left."""
     ident = dict(spec.identify)
     if len(set(ident.values())) != len(ident):
@@ -56,9 +59,7 @@ def _relabel_right(spec: GlueSpec):
         else:
             mapping[v] = fresh
             fresh += 1
-    facets = [mask_of(mapping[v] for v in vertices_of(f))
-              for f in spec.right.facets]
-    return facets, fresh
+    return mapping
 
 
 def overlap_facets(left_facets, right_facets):
@@ -80,7 +81,9 @@ def glue(spec: GlueSpec) -> SimplicialComplex:
     if spec.level > 3:
         raise UnsupportedLevel("(S_%d) precondition not checkable" % (spec.level - 1))
 
-    right_facets, total_n = _relabel_right(spec)
+    mapping = right_vertex_map(spec)
+    right_facets = [image(f, mapping) for f in spec.right.facets]
+    total_n = spec.left.n + spec.right.n - len(spec.identify)
     gamma = overlap_facets(spec.left.facets, right_facets)
     if not gamma:
         raise OverlapTooSmall("complexes share no face")
@@ -90,8 +93,7 @@ def glue(spec: GlueSpec) -> SimplicialComplex:
     if sizes.pop() < d - 1:  # dimension >= d-2
         raise OverlapTooSmall("overlap dimension below d-2")
     if spec.level == 3:
-        gamma_cx = _compact(gamma)
-        if not check_s_level(gamma_cx, 2):
+        if not check_s_level(compact(gamma), 2):
             raise OverlapSerreFailure("overlap is not (S_2)")
 
     names = None
@@ -99,8 +101,7 @@ def glue(spec: GlueSpec) -> SimplicialComplex:
         names = list(spec.left.names)
         for v in range(spec.right.n):
             if v not in spec.identify:
-                nm = (spec.right.names[v] if spec.right.names is not None
-                      else default_names(spec.right.n)[v])
+                nm = spec.right.vertex_name(v)
                 while nm in names:
                     nm = nm + "'"
                 names.append(nm)
@@ -110,19 +111,9 @@ def glue(spec: GlueSpec) -> SimplicialComplex:
         total_n, tuple(antichain(list(spec.left.facets) + right_facets)), names)
     if spec.level == 2 and is_s2(spec.left).holds and is_s2(spec.right).holds:
         verdict = is_s2(result)
-        assert verdict.holds, "gluing broke (S2): %r" % (verdict.witness,)
+        if not verdict.holds:
+            raise ContractViolation("gluing broke (S2): %r" % (verdict.witness,))
     return result
-
-
-def _compact(facets):
-    """Complex on the vertices actually used by `facets` (relabeled)."""
-    used = 0
-    for f in facets:
-        used |= f
-    old = vertices_of(used)
-    pos = {v: i for i, v in enumerate(old)}
-    remapped = sorted(mask_of(pos[v] for v in vertices_of(f)) for f in facets)
-    return SimplicialComplex(len(old), tuple(remapped))
 
 
 def append_facet_chain(cx: SimplicialComplex, start: int,

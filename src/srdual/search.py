@@ -10,14 +10,17 @@ and the (S2) oracle before the full diameter is computed.
 
 from __future__ import annotations
 
+import os
+import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional
 
-from .complexes import SimplicialComplex, mask_of, relabel, vertices_of
-from .errors import BadParams, BoundViolation
-from .dual_graph import UNBOUNDED, build_dual_graph, diameter
+from .complexes import SimplicialComplex, mask_of, vertices_of
+from .errors import BadParams, BoundViolation, ContractViolation
+from .dual_graph import UNBOUNDED, bfs, build_dual_graph, diameter
+from .serre import first_separated_pair
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,8 @@ def canonical_form(cx: SimplicialComplex, max_exact_n: int = 12) -> CanonicalKey
             rec(i + 1, perm)
 
     rec(0, [0] * n)
-    assert best is not None
+    if best is None:
+        raise ContractViolation("no labeling of %r was tried" % (cx,))
     return CanonicalKey(best, exact=True)
 
 
@@ -197,18 +201,29 @@ def _read_checkpoint(path, d, n):
 
 
 def _write_checkpoint(path, d, n, done, incumbent):
+    """Replace the checkpoint atomically: a crash mid-write keeps the old one."""
     lines = [CHECKPOINT_VERSION, "d=%d n=%d" % (d, n)]
     for t in sorted(done):
         lines.append("done %d" % t)
     mu, facets = incumbent
     if facets is not None:
         lines.append("incumbent %d %s" % (mu, " ".join("%x" % f for f in facets)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        with open(fd, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
-                 threads: int = 1, checkpoint: Optional[str] = None) -> SearchResult:
+                 checkpoint: Optional[str] = None) -> SearchResult:
     """Max dual-graph diameter over (S2) pure complexes using all n vertices.
 
     Exhaustive when the full (isomorph-reduced) subset tree is traversed
@@ -219,15 +234,12 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
         raise BadParams("need 2 <= d < n")
     budget = budget or SearchBudget()
     t_start = time.monotonic()
-    cands = [mask_of(c) for c in combinations(range(n), d)]
+    # candidates stay in combinations order, which fixes the DFS order;
+    # the complex of all of them is only a carrier for the dual graph
+    cands = tuple(mask_of(c) for c in combinations(range(n), d))
     m = len(cands)
     full_cover = (1 << n) - 1
-    adj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (cands[i] & cands[j]).bit_count() == d - 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = build_dual_graph(SimplicialComplex(n, cands)).adjacency
     star = [0] * n  # candidate-index mask per vertex
     for i, c in enumerate(cands):
         for v in vertices_of(c):
@@ -241,37 +253,6 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
     state = {"mu": -1, "witness": None, "prekey": None, "key": None,
              "nodes": 0, "stopped": False}
 
-    def reach(start_bit, allowed):
-        seen = start_bit
-        frontier = start_bit
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= adj[b.bit_length() - 1]
-                f ^= b
-            frontier = nxt & allowed & ~seen
-            seen |= frontier
-        return seen
-
-    def ecc_from(start_bit, chosen):
-        seen = start_bit
-        frontier = start_bit
-        e = 0
-        while True:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= adj[b.bit_length() - 1]
-                f ^= b
-            frontier = nxt & chosen & ~seen
-            if not frontier:
-                return e
-            seen |= frontier
-            e += 1
-
     def passes_s2(chosen, idxs):
         # connectivity was already checked; only nontrivial separators remain
         if d == 2:
@@ -281,29 +262,15 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
             # reduce to per-vertex star connectivity
             for v in range(n):
                 sub = star[v] & chosen
-                if sub and reach(sub & -sub, sub) != sub:
+                if sub and bfs(adj, sub & -sub, sub)[0] != sub:
                     return False
             return True
-        for a in range(len(idxs)):
-            ca = cands[idxs[a]]
-            for b in range(a + 1, len(idxs)):
-                sep = ca & cands[idxs[b]]
-                if sep.bit_count() >= d - 1:
-                    continue
-                allowed = chosen
-                s = sep
-                while s:
-                    bit = s & -s
-                    allowed &= star[bit.bit_length() - 1]
-                    s ^= bit
-                if not reach(1 << idxs[a], allowed) >> idxs[b] & 1:
-                    return False
-        return True
+        return first_separated_pair(adj, cands, idxs, chosen, star, d) is None
 
     def full_diameter(chosen, idxs):
         best = 0
         for i in idxs:
-            e = ecc_from(1 << i, chosen)
+            e = bfs(adj, 1 << i, chosen)[1]
             if e > best:
                 best = e
         return best
@@ -311,7 +278,8 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
     def consider_leaf(chosen):
         state["nodes"] += 1
         lowbit = chosen & -chosen
-        if reach(lowbit, chosen) != chosen:
+        reached, ecc = bfs(adj, lowbit, chosen)
+        if reached != chosen:
             return
         idxs = []
         f = chosen
@@ -321,7 +289,7 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
             f ^= b
         # probe: diameter <= 2 * any eccentricity; strict comparison keeps
         # the set of tie candidates schedule-independent
-        if 2 * ecc_from(lowbit, chosen) < state["mu"]:
+        if 2 * ecc < state["mu"]:
             return
         if not passes_s2(chosen, idxs):
             return
@@ -401,38 +369,18 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
                 covered |= cands[1 + lvl]
         dfs(1 + levels, chosen, covered)
 
-    if threads > 1:
-        # worker tasks share the incumbent through `state`; CPython's GIL
-        # serializes the updates, and the final merge is order-independent
-        # (monotone max + canonical tie-break)
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {}
-            for t in tasks:
-                if t not in done:
-                    futs[t] = pool.submit(run_task, t)
-            for t, fut in futs.items():
-                fut.result()
-                if not state["stopped"]:
-                    done.add(t)
-                    if checkpoint:
-                        _write_checkpoint(checkpoint, d, n, done,
-                                          (state["mu"],
-                                           state["witness"].facets
-                                           if state["witness"] else None))
-    else:
-        for t in tasks:
-            if t in done:
-                continue
-            run_task(t)
-            if state["stopped"]:
-                break
-            done.add(t)
-            if checkpoint:
-                _write_checkpoint(checkpoint, d, n, done,
-                                  (state["mu"],
-                                   state["witness"].facets
-                                   if state["witness"] else None))
+    for t in tasks:
+        if t in done:
+            continue
+        run_task(t)
+        if state["stopped"]:
+            break
+        done.add(t)
+        if checkpoint:
+            _write_checkpoint(checkpoint, d, n, done,
+                              (state["mu"],
+                               state["witness"].facets
+                               if state["witness"] else None))
 
     exhaustive = not state["stopped"] and len(done) == len(tasks)
     witness = state["witness"]

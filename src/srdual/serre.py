@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .complexes import (
@@ -21,7 +20,7 @@ from .complexes import (
     mask_of,
     vertices_of,
 )
-from .dual_graph import build_dual_graph, induced_on_superfacets, is_connected
+from .dual_graph import bfs, build_dual_graph
 from .errors import DimensionTooSmall, NotEquigenerated, NotPure, UnsupportedLevel
 
 
@@ -48,35 +47,52 @@ def is_locally_connected(cx: SimplicialComplex) -> S2Verdict:
     if d < 2:
         raise DimensionTooSmall("need facet size >= 2")
     g = build_dual_graph(cx)
-    m = g.node_count
     facets = g.node_facets
-    for i in range(m):
-        for j in range(i + 1, m):
-            sep = facets[i] & facets[j]
-            sub = induced_on_superfacets(g, sep)
-            ii = sub.node_facets.index(facets[i])
-            jj = sub.node_facets.index(facets[j])
-            if not _reaches(sub, ii, jj):
-                return S2Verdict(False, (facets[i], facets[j], sep))
-    return S2Verdict(True)
+    m = len(facets)
+    star = [0] * cx.n
+    for i, f in enumerate(facets):
+        for v in vertices_of(f):
+            star[v] |= 1 << i
+    bad = first_separated_pair(g.adjacency, facets, range(m), (1 << m) - 1,
+                               star, d)
+    if bad is None:
+        return S2Verdict(True)
+    i, j, sep = bad
+    return S2Verdict(False, (facets[i], facets[j], sep))
 
 
-def _reaches(g, i, j):
-    seen = 1 << i
-    frontier = seen
-    target = 1 << j
-    while frontier:
-        if frontier & target:
-            return True
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            nxt |= g.adjacency[b.bit_length() - 1]
-            f ^= b
-        frontier = nxt & ~seen
-        seen |= frontier
-    return False
+def first_separated_pair(adj, facets, nodes, chosen, star, d):
+    """First node pair (i, j) not joined inside its separator's star.
+
+    `nodes` are node indices in ascending order, visited as pairs with i
+    before j.  Facets i and j share the separator facets[i] & facets[j];
+    the nodes allowed on a path are those of `chosen` in `star[v]`, the
+    mask of nodes containing v, for every separator vertex v.  Pairs
+    sharing d-1 vertices are edges.  Each distinct separator keeps the
+    components found in its star, so no component is searched twice.
+    Returns (i, j, separator), or None when every pair is joined.
+    """
+    by_sep: dict[int, tuple[int, list[int]]] = {}
+    for a, i in enumerate(nodes):
+        fi = facets[i]
+        bit = 1 << i
+        for j in nodes[a + 1:]:
+            sep = fi & facets[j]
+            if sep.bit_count() >= d - 1:
+                continue
+            if sep not in by_sep:
+                allowed = chosen
+                for v in vertices_of(sep):
+                    allowed &= star[v]
+                by_sep[sep] = (allowed, [])
+            allowed, comps = by_sep[sep]
+            comp = next((c for c in comps if c & bit), 0)
+            if not comp:
+                comp = bfs(adj, bit, allowed)[0]
+                comps.append(comp)
+            if not comp >> j & 1:
+                return i, j, sep
+    return None
 
 
 def is_s2(cx: SimplicialComplex) -> S2Verdict:
@@ -124,22 +140,7 @@ def linear_syzygy_check(ideal: MonomialIdeal) -> bool:
             for k in range(m):
                 if gens[k] & ~box == 0:
                     allowed |= 1 << k
-            seen = 1 << i
-            frontier = seen
-            ok = False
-            while frontier:
-                if frontier >> j & 1:
-                    ok = True
-                    break
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    nxt |= adj[b.bit_length() - 1]
-                    f ^= b
-                frontier = nxt & allowed & ~seen
-                seen |= frontier
-            if not ok:
+            if not bfs(adj, 1 << i, allowed)[0] >> j & 1:
                 return False
     return True
 

@@ -1,7 +1,8 @@
 import random
 from itertools import combinations
 
-from srdual import from_masks, is_s2, mask_of, vertices_of, verify_bounds
+from srdual import is_s2, mask_of, verify_bounds
+from srdual.complexes import compact
 
 #: every complex any test produces goes through here; the bound invariant
 #: is enforced on the spot and the tally is reported by the acceptance run.
@@ -31,13 +32,6 @@ def random_pure_complex(rng: random.Random, max_n=8, dims=(2, 3, 4)):
         n = rng.randint(d + 1, max_n)
         pool = [mask_of(c) for c in combinations(range(n), d)]
         k = rng.randint(2, min(len(pool), 3 * n))
-        masks = rng.sample(pool, k)
-        used = 0
-        for m in masks:
-            used |= m
-        old = vertices_of(used)
-        if len(old) <= d:
-            continue
-        pos = {v: i for i, v in enumerate(old)}
-        compacted = [mask_of(pos[v] for v in vertices_of(m)) for m in masks]
-        return from_masks(compacted, len(old))
+        cx = compact(rng.sample(pool, k))
+        if cx.n > d:
+            return cx

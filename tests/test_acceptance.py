@@ -62,7 +62,7 @@ def test_criterion_3_mu_3_6_arbitration():
     golden = json.loads(resources.files("srdual.data")
                         .joinpath("mu_3_6_golden.json").read_text())
     t0 = time.monotonic()
-    res = enumerate_mu(3, 6, threads=1)
+    res = enumerate_mu(3, 6)
     elapsed = time.monotonic() - t0
     assert res.exhaustive and elapsed < 600
     assert res.mu == golden["mu"] == 3

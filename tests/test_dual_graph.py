@@ -12,6 +12,7 @@ from srdual import (
     is_connected,
     mask_of,
 )
+from srdual.dual_graph import bfs
 from srdual.errors import (
     DimensionTooSmall,
     EmptyGraph,
@@ -131,6 +132,17 @@ def test_induced_monotone():
     small = set(induced_on_superfacets(g, t).node_facets)
     large = set(induced_on_superfacets(g, s).node_facets)
     assert small <= large
+
+
+def test_bfs_levels_depth_and_allowed_mask():
+    adj = [0b0010, 0b0101, 0b1010, 0b0100]  # the path 0 - 1 - 2 - 3
+    levels = []
+    assert bfs(adj, 0b0001, 0b1111, levels) == (0b1111, 3)
+    assert levels == [0b0001, 0b0010, 0b0100, 0b1000]
+    # node 2 is not allowed, so the walk stops at 1
+    assert bfs(adj, 0b0001, 0b1011) == (0b0011, 1)
+    # a start mask of several nodes searches from all of them at once
+    assert bfs(adj, 0b1001, 0b1111) == (0b1111, 1)
 
 
 def test_unbounded_is_not_an_integer():

@@ -9,7 +9,8 @@ from srdual import (
     expected_diameter,
     is_s2,
 )
-from srdual.errors import BadParams, UnknownFamily
+from srdual import families
+from srdual.errors import BadParams, ContractViolation, UnknownFamily
 from srdual.families import FAMILY_NAMES, FamilyId
 
 from conftest import track
@@ -62,6 +63,13 @@ def test_build_self_check_catches_expectations():
     for name in ("fig_a1", "fig_a2", "fig_a4", "fig_a4_ehi", "fig_a5",
                  "g2", "dim4", "dim4_efgi"):
         build(FamilyId(name), check=True)
+
+
+def test_build_check_raises_typed_error(monkeypatch):
+    # a typed error, not an assert, so `python -O` keeps the check
+    monkeypatch.setattr(families, "expected_diameter", lambda fam: 99)
+    with pytest.raises(ContractViolation, match="diameter 5 != 99"):
+        build(FamilyId("fig_a2"), check=True)
 
 
 def test_unknown_family_and_bad_params():

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from srdual import (
     from_facets,
     is_s2,
     relabel,
+    search,
     verify_bounds,
 )
 from srdual.errors import BadParams, IsolatedVertex
@@ -112,6 +114,37 @@ def test_checkpoint_resume(tmp_path):
     assert resumed.witness.facets == full.witness.facets
 
 
+def test_checkpoint_survives_failed_write(tmp_path, monkeypatch):
+    ck = str(tmp_path / "ck.txt")
+    enumerate_mu(2, 5, checkpoint=ck)
+    before = search._read_checkpoint(ck, 2, 5)
+    assert before[0] == set(range(8))
+
+    real_open = open
+
+    class FailingWrites:
+        """A file handle whose writes fail, as on a full disk."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(search, "open", FailingWrites, raising=False)
+    with pytest.raises(OSError):
+        search._write_checkpoint(ck, 2, 5, {0}, (1, (3, 6)))
+    monkeypatch.undo()
+    assert search._read_checkpoint(ck, 2, 5) == before
+    assert os.listdir(tmp_path) == ["ck.txt"]
+
+
 def test_checkpoint_parameter_mismatch(tmp_path):
     ck = str(tmp_path / "ck.txt")
     enumerate_mu(2, 5, checkpoint=ck)
@@ -119,17 +152,19 @@ def test_checkpoint_parameter_mismatch(tmp_path):
         enumerate_mu(2, 6, checkpoint=ck)
 
 
-def test_thread_determinism():
-    one = enumerate_mu(2, 6, threads=1)
-    two = enumerate_mu(2, 6, threads=2)
-    assert one.mu == two.mu and one.exhaustive == two.exhaustive
-    assert one.witness.facets == two.witness.facets
-
-
 def test_mu_dominates_table_witness():
     res = enumerate_mu(2, 6)
     witness = build(FamilyId("table1_witness", d=2, n=6), check=False)
     assert res.mu >= diameter(build_dual_graph(witness))
+
+
+def test_mu_4_6_runs_the_separator_check():
+    # d >= 4 leaves go through the distinct-separator (S2) check
+    res = enumerate_mu(4, 6)
+    assert res.mu == 2 and res.exhaustive
+    assert res.witness.facets == (53, 58, 60)
+    assert res.nodes_explored == 16353
+    track(res.witness, res.mu)
 
 
 def test_search_rejects_bad_params():

@@ -11,6 +11,7 @@ from srdual import (
     check_s_level,
     connected_components,
     diameter,
+    distance_pair,
     from_facets,
     induced_on_superfacets,
     is_buchsbaum,
@@ -165,3 +166,30 @@ def test_oracle_agreement_sample():
 def test_corpus_is_s2():
     for fam, cx, _, expected_s2 in corpus():
         assert is_s2(cx).holds == expected_s2, str(fam)
+
+
+def _reference_witness(cx):
+    """(u, v, u∩v) of the first facet pair, in facet order, that no path
+    through facets containing u∩v joins; None when every pair is joined."""
+    g = build_dual_graph(cx)
+    facets = g.node_facets
+    for i, u in enumerate(facets):
+        for v in facets[i + 1:]:
+            sub = induced_on_superfacets(g, u & v)
+            if distance_pair(sub, u, v) is UNBOUNDED:
+                return u, v, u & v
+    return None
+
+
+def test_s2_matches_reference_pair_scan():
+    rng = random.Random(43)
+    complexes = [random_pure_complex(rng) for _ in range(400)]
+    complexes += [cx for _, cx, _, _ in corpus()]
+    failing = 0
+    for cx in complexes:
+        want = _reference_witness(cx)
+        failing += want is not None
+        for verdict in (is_s2(cx), is_locally_connected(cx)):
+            assert verdict.holds == (want is None), cx
+            assert verdict.witness == want, cx
+    assert failing >= 100  # the failure path and its witness are exercised
