@@ -44,6 +44,15 @@ def vertices_of(mask: VertexSet) -> list[int]:
     return out
 
 
+def star_masks(facets: Sequence[VertexSet], n: int) -> list[int]:
+    """stars[v] = mask of the positions in `facets` whose facet holds v."""
+    stars = [0] * n
+    for i, f in enumerate(facets):
+        for v in vertices_of(f):
+            stars[v] |= 1 << i
+    return stars
+
+
 def image(mask: VertexSet, mapping) -> VertexSet:
     """The vertex set `mask` under a vertex map (dict or sequence)."""
     return mask_of(mapping[v] for v in vertices_of(mask))

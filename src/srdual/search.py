@@ -5,7 +5,12 @@ isomorph-rejection step is free and sound: every complex has a relabeled
 copy containing the lexicographically first facet {0,...,d-1}, so that
 facet is forced into every candidate subset.  Leaves are filtered by
 vertex coverage, dual-graph connectivity, a cheap eccentricity probe,
-and the (S2) oracle before the full diameter is computed.
+and (S2) before the full diameter is computed.  (S2) of a connected
+leaf is one face-star test for every d: for each face s with
+1 <= |s| <= d-2, the chosen facets that hold s must be connected.
+Larger faces need no test, since the facets holding a (d-1)-face are
+pairwise adjacent.  Ties on the diameter are broken by vertex invariants
+read off the star masks, then by the canonical form.
 """
 
 from __future__ import annotations
@@ -14,13 +19,14 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
+from operator import and_
 from typing import Optional
 
-from .complexes import SimplicialComplex, mask_of, vertices_of
+from .complexes import SimplicialComplex, mask_of, star_masks, vertices_of
 from .errors import BadParams, BoundViolation, ContractViolation
 from .dual_graph import UNBOUNDED, bfs, build_dual_graph, diameter
-from .serre import first_separated_pair
 
 
 @dataclass(frozen=True)
@@ -91,40 +97,47 @@ class CanonicalKey:
     exact: bool
 
 
-def _vertex_invariants(facets, n):
-    """Per-vertex (degree, co-member degree multiset) for class pruning."""
-    deg = [0] * n
-    for f in facets:
-        for v in vertices_of(f):
-            deg[v] += 1
+#: canonical_form is exact up to this many vertices; beyond it the key
+#: is an invariant hash only.
+EXACT_CANONICAL_N = 12
+
+
+def _vertex_invariants(stars):
+    """Per-vertex (degree, co-member degree multiset) for class pruning.
+
+    stars[v] is the mask of the facets holding v.  The multiset holds
+    deg[w] once for every facet that holds both v and some w != v.
+    """
+    deg = [s.bit_count() for s in stars]
+    by_deg = sorted(range(len(stars)), key=deg.__getitem__)
     prof = []
-    for v in range(n):
+    for v, sv in enumerate(stars):
         co = []
-        for f in facets:
-            if f >> v & 1:
-                co.extend(deg[w] for w in vertices_of(f) if w != v)
-        prof.append((deg[v], tuple(sorted(co))))
+        for w in by_deg:
+            if w != v:
+                co += [deg[w]] * (sv & stars[w]).bit_count()
+        prof.append((deg[v], tuple(co)))
     return prof
 
 
-def _prekey(facets, n):
+def _prekey(stars, size):
     """Cheap isomorphism-invariant total pre-order on complexes."""
-    return (len(facets), tuple(sorted(_vertex_invariants(facets, n))))
+    return (size, tuple(sorted(_vertex_invariants(stars))))
 
 
-def canonical_form(cx: SimplicialComplex, max_exact_n: int = 12) -> CanonicalKey:
+def canonical_form(cx: SimplicialComplex) -> CanonicalKey:
     """Lex-min sorted facet list over all vertex permutations.
 
-    Exact for n <= max_exact_n; permutations are restricted to vertex
-    classes with equal invariants, which prunes most of the n! space.
-    Beyond that the key is invariant-based only and flagged inexact.
+    Exact for n <= EXACT_CANONICAL_N; permutations are restricted to
+    vertex classes with equal invariants, which prunes most of the n!
+    space.  Beyond that the key is invariant-based only and flagged
+    inexact.
     """
     n = cx.n
     facets = cx.facets
-    if n > max_exact_n:
-        inv = tuple(sorted(_vertex_invariants(facets, n)))
-        return CanonicalKey((hash(inv),), exact=False)
-    prof = _vertex_invariants(facets, n)
+    prof = _vertex_invariants(star_masks(facets, n))
+    if n > EXACT_CANONICAL_N:
+        return CanonicalKey((hash(tuple(sorted(prof))),), exact=False)
     # vertices grouped by invariant; images must stay inside a group
     groups: dict[tuple, list[int]] = {}
     for v in range(n):
@@ -240,10 +253,10 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
     m = len(cands)
     full_cover = (1 << n) - 1
     adj = build_dual_graph(SimplicialComplex(n, cands)).adjacency
-    star = [0] * n  # candidate-index mask per vertex
-    for i, c in enumerate(cands):
-        for v in vertices_of(c):
-            star[v] |= 1 << i
+    star = star_masks(cands, n)  # candidate-index mask per vertex
+    # the candidates holding each face s with 1 <= |s| <= d-2
+    face_stars = [reduce(and_, (star[v] for v in s))
+                  for k in range(1, d - 1) for s in combinations(range(n), k)]
     # suffix_cover[i] = union of candidate vertex masks from index i on
     suffix_cover = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
@@ -253,47 +266,27 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
     state = {"mu": -1, "witness": None, "prekey": None, "key": None,
              "nodes": 0, "stopped": False}
 
-    def passes_s2(chosen, idxs):
-        # connectivity was already checked; only nontrivial separators remain
-        if d == 2:
-            return True
-        if d == 3:
-            # separators of size d-1 give direct edges; size-1 separators
-            # reduce to per-vertex star connectivity
-            for v in range(n):
-                sub = star[v] & chosen
-                if sub and bfs(adj, sub & -sub, sub)[0] != sub:
-                    return False
-            return True
-        return first_separated_pair(adj, cands, idxs, chosen, star, d) is None
-
-    def full_diameter(chosen, idxs):
-        best = 0
-        for i in idxs:
-            e = bfs(adj, 1 << i, chosen)[1]
-            if e > best:
-                best = e
-        return best
-
     def consider_leaf(chosen):
         state["nodes"] += 1
         lowbit = chosen & -chosen
         reached, ecc = bfs(adj, lowbit, chosen)
         if reached != chosen:
             return
-        idxs = []
-        f = chosen
-        while f:
-            b = f & -f
-            idxs.append(b.bit_length() - 1)
-            f ^= b
         # probe: diameter <= 2 * any eccentricity; strict comparison keeps
         # the set of tie candidates schedule-independent
         if 2 * ecc < state["mu"]:
             return
-        if not passes_s2(chosen, idxs):
-            return
-        diam = full_diameter(chosen, idxs)
+        for fs in face_stars:
+            sub = fs & chosen
+            if sub and bfs(adj, sub & -sub, sub)[0] != sub:
+                return
+        # the probe was the BFS from idxs[0]
+        idxs = vertices_of(chosen)
+        diam = ecc
+        for i in idxs[1:]:
+            e = bfs(adj, 1 << i, chosen)[1]
+            if e > diam:
+                diam = e
         if diam > best_bound:
             cx = SimplicialComplex(n, tuple(cands[i] for i in idxs))
             raise BoundViolation(
@@ -302,16 +295,16 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
         if diam < state["mu"]:
             return
         facet_tuple = tuple(cands[i] for i in idxs)
+        pk = _prekey([s & chosen for s in star], len(idxs))
         if diam > state["mu"]:
             state["mu"] = diam
             state["witness"] = SimplicialComplex(n, facet_tuple)
-            state["prekey"] = _prekey(facet_tuple, n)
+            state["prekey"] = pk
             state["key"] = None
             return
         # tie: keep the minimal witness under (invariant pre-key,
         # canonical key); the full canonicalization only runs inside
         # the minimal invariant class
-        pk = _prekey(facet_tuple, n)
         if pk > state["prekey"]:
             return
         cx = SimplicialComplex(n, facet_tuple)
@@ -358,7 +351,8 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
         if ck_facets is not None:
             state["mu"] = ck_mu
             state["witness"] = SimplicialComplex(n, ck_facets)
-            state["prekey"] = _prekey(ck_facets, n)
+            state["prekey"] = _prekey(star_masks(ck_facets, n),
+                                      len(ck_facets))
 
     def run_task(t):
         chosen = 1
@@ -384,8 +378,8 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
 
     exhaustive = not state["stopped"] and len(done) == len(tasks)
     witness = state["witness"]
-    if witness is not None and n <= 12:
-        # report the witness in its canonical labeling
+    if witness is not None:
+        # report the witness in its canonical labeling, where exact
         key = canonical_form(witness)
         if key.exact:
             witness = SimplicialComplex(n, key.facets)

@@ -18,6 +18,7 @@ from .complexes import (
     alexander_dual_ideal,
     link,
     mask_of,
+    star_masks,
     vertices_of,
 )
 from .dual_graph import bfs, build_dual_graph
@@ -39,7 +40,10 @@ def is_locally_connected(cx: SimplicialComplex) -> S2Verdict:
     """Property (i): every facet pair is joined inside its separator star.
 
     Checking facet pairs suffices: a path for (u, v) whose nodes all
-    contain u∩v stays inside the induced subgraph of any s ⊆ u∩v.
+    contain u∩v stays inside the induced subgraph of any s ⊆ u∩v.  Pairs
+    are visited with i before j; pairs sharing d-1 vertices are edges.
+    Each distinct separator keeps the components found in its star (the
+    AND of the vertex star masks), so no component is searched twice.
     """
     d = cx.d
     if d is None:
@@ -49,50 +53,28 @@ def is_locally_connected(cx: SimplicialComplex) -> S2Verdict:
     g = build_dual_graph(cx)
     facets = g.node_facets
     m = len(facets)
-    star = [0] * cx.n
-    for i, f in enumerate(facets):
-        for v in vertices_of(f):
-            star[v] |= 1 << i
-    bad = first_separated_pair(g.adjacency, facets, range(m), (1 << m) - 1,
-                               star, d)
-    if bad is None:
-        return S2Verdict(True)
-    i, j, sep = bad
-    return S2Verdict(False, (facets[i], facets[j], sep))
-
-
-def first_separated_pair(adj, facets, nodes, chosen, star, d):
-    """First node pair (i, j) not joined inside its separator's star.
-
-    `nodes` are node indices in ascending order, visited as pairs with i
-    before j.  Facets i and j share the separator facets[i] & facets[j];
-    the nodes allowed on a path are those of `chosen` in `star[v]`, the
-    mask of nodes containing v, for every separator vertex v.  Pairs
-    sharing d-1 vertices are edges.  Each distinct separator keeps the
-    components found in its star, so no component is searched twice.
-    Returns (i, j, separator), or None when every pair is joined.
-    """
+    star = star_masks(facets, cx.n)
     by_sep: dict[int, tuple[int, list[int]]] = {}
-    for a, i in enumerate(nodes):
+    for i in range(m):
         fi = facets[i]
         bit = 1 << i
-        for j in nodes[a + 1:]:
+        for j in range(i + 1, m):
             sep = fi & facets[j]
             if sep.bit_count() >= d - 1:
                 continue
             if sep not in by_sep:
-                allowed = chosen
+                allowed = (1 << m) - 1
                 for v in vertices_of(sep):
                     allowed &= star[v]
                 by_sep[sep] = (allowed, [])
             allowed, comps = by_sep[sep]
             comp = next((c for c in comps if c & bit), 0)
             if not comp:
-                comp = bfs(adj, bit, allowed)[0]
+                comp = bfs(g.adjacency, bit, allowed)[0]
                 comps.append(comp)
             if not comp >> j & 1:
-                return i, j, sep
-    return None
+                return S2Verdict(False, (fi, facets[j], sep))
+    return S2Verdict(True)
 
 
 def is_s2(cx: SimplicialComplex) -> S2Verdict:
@@ -180,28 +162,8 @@ def _rank_q(rows):
     return rank
 
 
-def _rank_mod2(rows):
-    """Rank over GF(2); rows packed as bitmasks."""
-    packed = []
-    for r in rows:
-        m = 0
-        for i, x in enumerate(r):
-            if x % 2:
-                m |= 1 << i
-        if m:
-            packed.append(m)
-    rank = 0
-    while packed:
-        piv = min(packed, key=lambda m: m & -m)
-        packed.remove(piv)
-        low = piv & -piv
-        packed = [m ^ piv if m & low else m for m in packed]
-        packed = [m for m in packed if m]
-        rank += 1
-    return rank
-
-
 def _rank_mod_p(rows, p):
+    """Rank over GF(p), p prime, by Gaussian elimination."""
     rows = [[x % p for x in r] for r in rows if any(x % p for x in r)]
     ncols = len(rows[0]) if rows else 0
     rank = 0
@@ -252,8 +214,6 @@ def reduced_betti(cx: SimplicialComplex, field: int = 0) -> BettiVector:
 
     if field == 0:
         rank = _rank_q
-    elif field == 2:
-        rank = _rank_mod2
     else:
         rank = lambda rows: _rank_mod_p(rows, field)  # noqa: E731
 

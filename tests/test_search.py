@@ -1,10 +1,12 @@
 import os
 import random
+from itertools import combinations
 
 import pytest
 
 from srdual import (
     SearchBudget,
+    SimplicialComplex,
     bounds,
     build,
     build_dual_graph,
@@ -13,14 +15,17 @@ from srdual import (
     enumerate_mu,
     from_facets,
     is_s2,
+    mask_of,
     relabel,
     search,
     verify_bounds,
+    vertices_of,
 )
+from srdual.complexes import star_masks
 from srdual.errors import BadParams, IsolatedVertex
-from srdual.families import FamilyId
+from srdual.families import FamilyId, corpus
 
-from conftest import track
+from conftest import random_pure_complex, track
 
 
 def test_bounds_examples():
@@ -72,6 +77,31 @@ def test_canonical_form_relabel_invariance():
         perm = list(range(a2.n))
         rng.shuffle(perm)
         assert canonical_form(relabel(a2, perm)) == key
+
+
+def _facet_list_invariants(facets, n):
+    """Per-vertex invariants computed straight from the facet list."""
+    deg = [0] * n
+    for f in facets:
+        for v in vertices_of(f):
+            deg[v] += 1
+    prof = []
+    for v in range(n):
+        co = []
+        for f in facets:
+            if f >> v & 1:
+                co.extend(deg[w] for w in vertices_of(f) if w != v)
+        prof.append((deg[v], tuple(sorted(co))))
+    return prof
+
+
+def test_vertex_invariants_from_star_masks():
+    rng = random.Random(5)
+    complexes = [random_pure_complex(rng) for _ in range(300)]
+    complexes += [cx for _, cx, _, _ in corpus()]
+    for cx in complexes:
+        got = search._vertex_invariants(star_masks(cx.facets, cx.n))
+        assert got == _facet_list_invariants(cx.facets, cx.n), cx
 
 
 def test_canonical_form_small_cases():
@@ -158,8 +188,34 @@ def test_mu_dominates_table_witness():
     assert res.mu >= diameter(build_dual_graph(witness))
 
 
+@pytest.mark.parametrize("d,n,leaves", [(3, 5, 497), (2, 6, 14513),
+                                         (4, 6, 16353)])
+def test_search_matches_brute_force(d, n, leaves):
+    # every candidate subset holding {0..d-1} and covering all n vertices
+    # is a search leaf; mu is the max diameter of those that are (S2)
+    cands = [mask_of(c) for c in combinations(range(n), d)]
+    first, rest = cands[0], cands[1:]
+    full = (1 << n) - 1
+    count, mu = 0, -1
+    for pick in range(1 << len(rest)):
+        facets = [first] + [c for i, c in enumerate(rest) if pick >> i & 1]
+        covered = 0
+        for f in facets:
+            covered |= f
+        if covered != full:
+            continue
+        count += 1
+        cx = SimplicialComplex(n, tuple(sorted(facets)))
+        if is_s2(cx).holds:
+            mu = max(mu, diameter(build_dual_graph(cx)))
+    res = enumerate_mu(d, n)
+    assert count == leaves == res.nodes_explored
+    assert res.mu == mu and res.exhaustive
+
+
 def test_mu_4_6_runs_the_separator_check():
-    # d >= 4 leaves go through the distinct-separator (S2) check
+    # d >= 4 leaves test the stars of faces of size 1 and 2 for
+    # connectedness, as d = 3 leaves test the vertex stars
     res = enumerate_mu(4, 6)
     assert res.mu == 2 and res.exhaustive
     assert res.witness.facets == (53, 58, 60)

@@ -100,6 +100,16 @@ def test_reduced_betti_solid_triangle():
         assert all(bv.betti(i) == 0 for i in range(-1, 3))
 
 
+def test_reduced_betti_depends_on_the_field():
+    # the 6-vertex real projective plane: H_1 = Z/2, so it is acyclic over
+    # Q and GF(3) but has one cycle in degrees 1 and 2 over GF(2)
+    rp2 = from_facets([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
+                       [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5]])
+    for field, want in [(0, (0, 0, 0, 0)), (3, (0, 0, 0, 0)), (2, (0, 0, 1, 1))]:
+        bv = reduced_betti(rp2, field)
+        assert bv.reduced_betti == want and bv.field_tag == field
+
+
 def test_reduced_betti_b0_is_components_minus_one():
     rng = random.Random(31)
     for _ in range(100):
