@@ -9,8 +9,12 @@ and (S2) before the full diameter is computed.  (S2) of a connected
 leaf is one face-star test for every d: for each face s with
 1 <= |s| <= d-2, the chosen facets that hold s must be connected.
 Larger faces need no test, since the facets holding a (d-1)-face are
-pairwise adjacent.  Ties on the diameter are broken by vertex invariants
-read off the star masks, then by the canonical form.
+pairwise adjacent.  The diameter of a leaf that passes grows a ball
+around every chosen facet at once, all of them rows of one packed int.
+Ties on the diameter are broken by the facet count, then by vertex
+invariants read off the star masks, then by the canonical form, which
+places labels lowest first and extends only the partial labelings whose
+finished facets form the least prefix of the key.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ import tempfile
 import time
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations
 from operator import and_
 from typing import Optional
 
 from .complexes import SimplicialComplex, mask_of, star_masks, vertices_of
-from .errors import BadParams, BoundViolation, ContractViolation
+from .errors import BadParams, BoundViolation
 from .dual_graph import UNBOUNDED, bfs, build_dual_graph, diameter
 
 
@@ -121,52 +125,102 @@ def _vertex_invariants(stars):
 
 
 def _prekey(stars, size):
-    """Cheap isomorphism-invariant total pre-order on complexes."""
+    """Cheap isomorphism-invariant total pre-order on complexes.
+
+    It starts with the facet count, so the search compares sizes first.
+    """
     return (size, tuple(sorted(_vertex_invariants(stars))))
 
 
 def canonical_form(cx: SimplicialComplex) -> CanonicalKey:
-    """Lex-min sorted facet list over all vertex permutations.
+    """Lex-min sorted facet list over all vertex relabelings.
 
-    Exact for n <= EXACT_CANONICAL_N; permutations are restricted to
-    vertex classes with equal invariants, which prunes most of the n!
-    space.  Beyond that the key is invariant-based only and flagged
-    inexact.
+    Exact for n <= EXACT_CANONICAL_N.  Vertices are grouped into classes
+    with equal invariants, the classes are laid out in sorted invariant
+    order, and label l may only go to a vertex of the class that owns l.
+    Labels are placed from lowest to highest.  Once labels 0..l are
+    placed, the facets whose vertices all carry labels are final and
+    smaller than any facet holding a later label, so their sorted masks
+    are a fixed prefix of the key; only the partial labelings with the
+    least prefix are extended.  That prunes every relabeling the
+    invariants and the prefix tell apart; when all of them tie, as on a
+    complete complex, it is still exponential.  Beyond EXACT_CANONICAL_N
+    the key is invariant-based only and flagged inexact.
     """
     n = cx.n
     facets = cx.facets
-    prof = _vertex_invariants(star_masks(facets, n))
+    stars = star_masks(facets, n)
+    prof = _vertex_invariants(stars)
     if n > EXACT_CANONICAL_N:
         return CanonicalKey((hash(tuple(sorted(prof))),), exact=False)
-    # vertices grouped by invariant; images must stay inside a group
     groups: dict[tuple, list[int]] = {}
     for v in range(n):
         groups.setdefault(prof[v], []).append(v)
-    # block order must itself be relabeling-invariant: sort by profile key
-    ordered = [groups[k] for k in sorted(groups)]
-    best: Optional[tuple[int, ...]] = None
-    # assign new labels block by block; only same-class permutations matter
-    blocks = [list(permutations(g)) for g in ordered]
-    facet_vs = [vertices_of(f) for f in facets]
+    # the class owning each label; block order must itself be
+    # relabeling-invariant, so blocks follow the sorted profile keys
+    owners = [g for k in sorted(groups) for g in [groups[k]] * len(groups[k])]
+    # keys compare prefix + tail, so a longer prefix beats its own
+    # prefix: the mask it fixes next is below 1 << (l + 1), and every
+    # mask its rival still leaves open is not
+    tail = (1 << n,)
+    # partial labelings (prefix, labeled vertices, label bit of each
+    # vertex); the empty facet, if any, is final from the start
+    level = [(tuple(f for f in facets if not f), 0, (0,) * n)]
+    for label, owner in enumerate(owners):
+        bit = 1 << label
+        best = None
+        kept = []
+        for prefix, labeled, lbits in level:
+            for v in owner:
+                if labeled >> v & 1:
+                    continue
+                done = labeled | 1 << v
+                fixed = []
+                s = stars[v]
+                while s:
+                    b = s & -s
+                    rest = facets[b.bit_length() - 1] ^ 1 << v
+                    if not rest & ~done:
+                        img = bit
+                        while rest:
+                            r = rest & -rest
+                            img |= lbits[r.bit_length() - 1]
+                            rest ^= r
+                        fixed.append(img)
+                    s ^= b
+                ext = prefix + tuple(sorted(fixed))
+                key = ext + tail
+                if best is None or key < best:
+                    best = key
+                    kept = [(ext, done, lbits, v)]
+                elif key == best:
+                    kept.append((ext, done, lbits, v))
+        level = [(ext, done, lbits[:v] + (bit,) + lbits[v + 1:])
+                 for ext, done, lbits, v in kept]
+    return CanonicalKey(level[0][0], exact=True)
 
-    def rec(i, perm):
-        nonlocal best
-        if i == len(blocks):
-            key = tuple(sorted(
-                sum(1 << perm[v] for v in vs) for vs in facet_vs))
-            if best is None or key < best:
-                best = key
-            return
-        base = sum(len(b[0]) for b in blocks[:i])
-        for arrangement in blocks[i]:
-            for newpos, v in enumerate(arrangement):
-                perm[v] = base + newpos
-            rec(i + 1, perm)
 
-    rec(0, [0] * n)
-    if best is None:
-        raise ContractViolation("no labeling of %r was tried" % (cx,))
-    return CanonicalKey(best, exact=True)
+def _leaf_diameter(adj, idxs, chosen, m, col):
+    """Diameter of the connected subgraph of `adj` on the nodes `idxs`.
+
+    `chosen` is the mask of `idxs`, m the node count and `col` the mask
+    with bit p*m set for every row p < len(idxs).  Row p of one packed
+    int, bits [p*m, (p+1)*m), is the ball around idxs[p]; a step grows
+    every ball by one edge at once.  adj[j] < 2**m, so a product never
+    carries into the next row.
+    """
+    balls = 0
+    for p, i in enumerate(idxs):
+        balls |= 1 << (p * m + i)
+    full = chosen * col
+    steps = 0
+    while balls != full:
+        grown = balls
+        for j in idxs:
+            grown |= ((balls >> j) & col) * adj[j]
+        balls = grown & full
+        steps += 1
+    return steps
 
 
 @dataclass
@@ -261,6 +315,10 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
     suffix_cover = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | cands[i]
+    # cols[k] has bit p*m set for every row p < k of a packed leaf diameter
+    cols = [0] * (m + 1)
+    for k in range(1, m + 1):
+        cols[k] = cols[k - 1] | 1 << ((k - 1) * m)
 
     best_bound = bounds(d, n).best
     state = {"mu": -1, "witness": None, "prekey": None, "key": None,
@@ -280,13 +338,9 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
             sub = fs & chosen
             if sub and bfs(adj, sub & -sub, sub)[0] != sub:
                 return
-        # the probe was the BFS from idxs[0]
         idxs = vertices_of(chosen)
-        diam = ecc
-        for i in idxs[1:]:
-            e = bfs(adj, 1 << i, chosen)[1]
-            if e > diam:
-                diam = e
+        size = len(idxs)
+        diam = _leaf_diameter(adj, idxs, chosen, m, cols[size])
         if diam > best_bound:
             cx = SimplicialComplex(n, tuple(cands[i] for i in idxs))
             raise BoundViolation(
@@ -294,8 +348,10 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
                 % (diam, best_bound, d, n, cx), cx)
         if diam < state["mu"]:
             return
+        if diam == state["mu"] and size > state["prekey"][0]:
+            return  # the pre-key starts with the facet count
         facet_tuple = tuple(cands[i] for i in idxs)
-        pk = _prekey([s & chosen for s in star], len(idxs))
+        pk = _prekey([s & chosen for s in star], size)
         if diam > state["mu"]:
             state["mu"] = diam
             state["witness"] = SimplicialComplex(n, facet_tuple)

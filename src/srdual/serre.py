@@ -102,7 +102,9 @@ def linear_syzygy_check(ideal: MonomialIdeal) -> bool:
     True iff every generator pair (u, v) is joined by a walk of
     generators inside supp(u) ∪ supp(v) whose consecutive supports union
     to degree t+1.  Under complementation this mirrors local
-    connectedness of the facet-ridge graph.
+    connectedness of the facet-ridge graph.  The generators inside a box
+    are those with no variable outside it, read off the variable star
+    masks; each distinct box keeps the components found in it.
     """
     gens = ideal.generators
     if len({g.bit_count() for g in gens}) != 1:
@@ -115,14 +117,27 @@ def linear_syzygy_check(ideal: MonomialIdeal) -> bool:
             if (gens[i] | gens[j]).bit_count() == t + 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
+    everything = (1 << m) - 1
+    universe = 0
+    for g in gens:
+        universe |= g
+    gstar = star_masks(gens, universe.bit_length())
+    by_box: dict[int, tuple[int, list[int]]] = {}
     for i in range(m):
+        bit = 1 << i
         for j in range(i + 1, m):
             box = gens[i] | gens[j]
-            allowed = 0
-            for k in range(m):
-                if gens[k] & ~box == 0:
-                    allowed |= 1 << k
-            if not bfs(adj, 1 << i, allowed)[0] >> j & 1:
+            if box not in by_box:
+                outside = 0
+                for v in vertices_of(universe & ~box):
+                    outside |= gstar[v]
+                by_box[box] = (everything & ~outside, [])
+            allowed, comps = by_box[box]
+            comp = next((c for c in comps if c & bit), 0)
+            if not comp:
+                comp = bfs(adj, bit, allowed)[0]
+                comps.append(comp)
+            if not comp >> j & 1:
                 return False
     return True
 

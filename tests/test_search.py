@@ -1,6 +1,6 @@
 import os
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -22,7 +22,8 @@ from srdual import (
     vertices_of,
 )
 from srdual.complexes import star_masks
-from srdual.errors import BadParams, IsolatedVertex
+from srdual.dual_graph import bfs
+from srdual.errors import BadParams, ContractViolation, IsolatedVertex
 from srdual.families import FamilyId, corpus
 
 from conftest import random_pure_complex, track
@@ -102,6 +103,60 @@ def test_vertex_invariants_from_star_masks():
     for cx in complexes:
         got = search._vertex_invariants(star_masks(cx.facets, cx.n))
         assert got == _facet_list_invariants(cx.facets, cx.n), cx
+
+
+def _reference_canonical_form(cx):
+    """The permutation routine canonical_form replaced, kept as its oracle."""
+    n = cx.n
+    facets = cx.facets
+    prof = search._vertex_invariants(star_masks(facets, n))
+    if n > search.EXACT_CANONICAL_N:
+        return search.CanonicalKey((hash(tuple(sorted(prof))),), exact=False)
+    # vertices grouped by invariant; images must stay inside a group
+    groups = {}
+    for v in range(n):
+        groups.setdefault(prof[v], []).append(v)
+    # block order must itself be relabeling-invariant: sort by profile key
+    ordered = [groups[k] for k in sorted(groups)]
+    best = None
+    # assign new labels block by block; only same-class permutations matter
+    blocks = [list(permutations(g)) for g in ordered]
+    facet_vs = [vertices_of(f) for f in facets]
+
+    def rec(i, perm):
+        nonlocal best
+        if i == len(blocks):
+            key = tuple(sorted(
+                sum(1 << perm[v] for v in vs) for vs in facet_vs))
+            if best is None or key < best:
+                best = key
+            return
+        base = sum(len(b[0]) for b in blocks[:i])
+        for arrangement in blocks[i]:
+            for newpos, v in enumerate(arrangement):
+                perm[v] = base + newpos
+            rec(i + 1, perm)
+
+    rec(0, [0] * n)
+    if best is None:
+        raise ContractViolation("no labeling of %r was tried" % (cx,))
+    return search.CanonicalKey(best, exact=True)
+
+
+def _cyclic_triples(n):
+    return SimplicialComplex(n, tuple(sorted(
+        mask_of([i, (i + 1) % n, (i + 2) % n]) for i in range(n))))
+
+
+def test_canonical_form_matches_permutation_reference():
+    rng = random.Random(5)
+    complexes = [cx for _, cx, _, _ in corpus() if cx.n <= 10]
+    complexes += [random_pure_complex(rng) for _ in range(300)]
+    complexes += [_cyclic_triples(n) for n in (6, 7, 8)]
+    complexes += [SimplicialComplex(n, tuple(
+        mask_of(c) for c in combinations(range(n), 3))) for n in (5, 6)]
+    for cx in complexes:
+        assert canonical_form(cx) == _reference_canonical_form(cx), cx
 
 
 def test_canonical_form_small_cases():
@@ -211,6 +266,46 @@ def test_search_matches_brute_force(d, n, leaves):
     res = enumerate_mu(d, n)
     assert count == leaves == res.nodes_explored
     assert res.mu == mu and res.exhaustive
+
+
+def test_leaf_diameter_matches_per_source_bfs():
+    rng = random.Random(11)
+    checked = 0
+    for d, n in [(2, 6), (3, 6), (3, 7), (4, 8)]:
+        cands = [mask_of(c) for c in combinations(range(n), d)]
+        m = len(cands)
+        adj = build_dual_graph(SimplicialComplex(n, tuple(cands))).adjacency
+        for _ in range(60):
+            chosen = 0
+            for i in rng.sample(range(m), rng.randint(1, m)):
+                chosen |= 1 << i
+            if bfs(adj, chosen & -chosen, chosen)[0] != chosen:
+                continue
+            idxs = vertices_of(chosen)
+            col = sum(1 << (p * m) for p in range(len(idxs)))
+            want = max(bfs(adj, 1 << i, chosen)[1] for i in idxs)
+            got = search._leaf_diameter(adj, idxs, chosen, m, col)
+            assert got == want, (d, n, idxs)
+            checked += 1
+    assert checked >= 100
+
+
+# mu, canonical witness and leaf count of budgeted runs, as computed by
+# the per-source BFS leaf diameter and the permutation canonical form
+@pytest.mark.parametrize("d,n,budget,mu,facets", [
+    (3, 7, 20000, 4, (11, 21, 22, 49, 50, 52, 56, 67, 69, 70, 73, 74, 76,
+                      88, 97, 98, 100, 104, 112)),
+    (4, 8, 2000, 4, (39, 43, 46, 54, 58, 71, 75, 77, 78, 83, 85, 86, 89, 90,
+                     92, 99, 101, 102, 105, 106, 108, 113, 114, 116, 120,
+                     135, 139, 141, 142, 147, 149, 150, 153, 154, 156, 163,
+                     165, 166, 169, 170, 172, 177, 178, 180, 184, 197, 201,
+                     204, 209, 210, 212, 216, 225, 226, 228, 232, 240)),
+])
+def test_budgeted_search_is_pinned(d, n, budget, mu, facets):
+    res = enumerate_mu(d, n, budget=SearchBudget(max_nodes=budget))
+    assert not res.exhaustive
+    assert res.mu == mu and res.witness.facets == facets
+    assert res.nodes_explored == budget
 
 
 def test_mu_4_6_runs_the_separator_check():

@@ -22,6 +22,7 @@ from srdual import (
     reduced_betti,
     s2_oracle_pair,
 )
+from srdual.dual_graph import bfs
 from srdual.errors import NotEquigenerated, UnsupportedLevel
 from srdual.families import FamilyId, corpus
 
@@ -84,6 +85,42 @@ def test_linear_syzygy_single_generator():
 def test_linear_syzygy_rejects_mixed_degrees():
     with pytest.raises(NotEquigenerated):
         linear_syzygy_check(MonomialIdeal(4, (0b0011, 0b0111)))
+
+
+def _reference_syzygy_check(ideal):
+    """linear_syzygy_check with a scan of every generator for each box."""
+    gens = ideal.generators
+    t = gens[0].bit_count()
+    m = len(gens)
+    adj = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if (gens[i] | gens[j]).bit_count() == t + 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    for i in range(m):
+        for j in range(i + 1, m):
+            box = gens[i] | gens[j]
+            allowed = 0
+            for k in range(m):
+                if gens[k] & ~box == 0:
+                    allowed |= 1 << k
+            if not bfs(adj, 1 << i, allowed)[0] >> j & 1:
+                return False
+    return True
+
+
+def test_linear_syzygy_matches_reference_box_scan():
+    rng = random.Random(47)
+    complexes = [random_pure_complex(rng) for _ in range(400)]
+    complexes += [cx for _, cx, _, _ in corpus()]
+    failing = 0
+    for cx in complexes:
+        ideal = alexander_dual_ideal(cx)
+        want = _reference_syzygy_check(ideal)
+        failing += not want
+        assert linear_syzygy_check(ideal) == want, cx
+    assert failing >= 100
 
 
 def test_reduced_betti_hollow_triangle():
