@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import warnings
 
-from .complexes import SimplicialComplex, antichain, from_masks, mask_of
+from .complexes import SimplicialComplex, from_masks, mask_of
 from .dual_graph import DualGraph
 from .errors import ParseError
 
@@ -55,10 +55,10 @@ def parse_facet_file(text: str, letters: bool = False) -> SimplicialComplex:
         facet_masks.append(mask_of(vertex(t, lineno) for t in tokens))
     if not facet_masks:
         raise ParseError("no facets in input", body_start or len(lines))
-    reduced = antichain(facet_masks)
-    if len(reduced) < len(set(facet_masks)):
+    cx = from_masks(facet_masks, len(names), tuple(names))
+    if len(cx.facets) < len(set(facet_masks)):
         warnings.warn("contained facets dropped (antichain reduction)")
-    return from_masks(facet_masks, len(names), tuple(names))
+    return cx
 
 
 def serialize_facet_file(cx: SimplicialComplex, letters: bool = False) -> str:

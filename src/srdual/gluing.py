@@ -62,6 +62,13 @@ def right_vertex_map(spec: GlueSpec) -> dict[int, int]:
     return mapping
 
 
+def _fresh_name(name: str, taken) -> str:
+    """`name` with primes appended until it is not in `taken`."""
+    while name in taken:
+        name += "'"
+    return name
+
+
 def overlap_facets(left_facets, right_facets):
     """Maximal common faces of two facet lists (pairwise intersections)."""
     inters = {f & g for f in left_facets for g in right_facets}
@@ -101,10 +108,7 @@ def glue(spec: GlueSpec) -> SimplicialComplex:
         names = list(spec.left.names)
         for v in range(spec.right.n):
             if v not in spec.identify:
-                nm = spec.right.vertex_name(v)
-                while nm in names:
-                    nm = nm + "'"
-                names.append(nm)
+                names.append(_fresh_name(spec.right.vertex_name(v), names))
         names = tuple(names)
 
     result = SimplicialComplex(
@@ -138,8 +142,7 @@ def append_facet_chain(cx: SimplicialComplex, start: int,
         window = window[1:] + [fresh]
         facets.append(mask_of(window))
         if names is not None:
-            names.append(default_names(fresh + 1)[fresh]
-                         if fresh < 26 else "x%d" % (fresh + 1))
+            names.append(_fresh_name(default_names(fresh + 1)[fresh], names))
         fresh += 1
     return SimplicialComplex(fresh, tuple(antichain(facets)),
                              tuple(names) if names is not None else None)

@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 
 from srdual import (
@@ -10,8 +12,11 @@ from srdual import (
     is_s2,
 )
 from srdual import families
-from srdual.errors import BadParams, ContractViolation, UnknownFamily
-from srdual.families import FAMILY_NAMES, FamilyId
+from srdual.cli import build_parser
+from srdual.complexes import from_masks, image, mask_of, vertices_of
+from srdual.errors import BadParams, ContractViolation, SrdualError, UnknownFamily
+from srdual.families import FAMILY_NAMES, FamilyId, letters
+from srdual.gluing import GlueSpec, append_facet_chain, glue, right_vertex_map
 
 from conftest import track
 
@@ -84,10 +89,26 @@ def test_family_id_str():
     assert str(FamilyId("dim4")) == "dim4"
 
 
+#: One valid instance of each family that takes parameters.
+_VALID = {
+    "path2": FamilyId("path2", n=5),
+    "glued_d4": FamilyId("glued_d4", k=1),
+    "glued_d3": FamilyId("glued_d3", k=1),
+    "glued_d3_g0": FamilyId("glued_d3_g0", k=1, j=4),
+    "table1_witness": FamilyId("table1_witness", d=3, n=7),
+}
+
+
 def test_family_names_cover_builders():
+    assert set(_VALID) <= set(FAMILY_NAMES)
     for name in FAMILY_NAMES:
-        assert isinstance(name, str)
+        build(_VALID.get(name, FamilyId(name)), check=True)
     assert "table1_witness" in FAMILY_NAMES
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    family = next(a for a in sub.choices["construct"]._actions
+                  if a.dest == "family")
+    assert family.choices == list(FAMILY_NAMES)
 
 
 def test_expected_diameter_formulas():
@@ -95,3 +116,116 @@ def test_expected_diameter_formulas():
     assert expected_diameter(FamilyId("glued_d3", k=3, j=0)) == 29
     assert expected_diameter(FamilyId("glued_d3_g0", k=2, j=5)) == 26
     assert expected_diameter(FamilyId("path2", n=9)) == 7
+
+
+def _outcome(f, fam):
+    try:
+        return "ok", f(fam)
+    except SrdualError as e:
+        return type(e), str(e)
+
+
+def test_expected_diameter_accepts_what_build_accepts():
+    names = FAMILY_NAMES + ("fig_a3",)
+    fams = [FamilyId(nm, k=k, j=j) for nm in names
+            for k in (None, 0, 1, 2) for j in (None, 0, 1, 3, 4, 5)]
+    fams += [FamilyId(nm, n=n) for nm in names for n in (None, 2, 3, 4, 7)]
+    fams += [FamilyId(nm, d=d, n=n) for nm in names for d in (None, 2, 3, 4)
+             for n in (None, 6, 7, 9, 11)]
+    for fam in fams:
+        built = _outcome(lambda f: build(f, check=False), fam)
+        want = _outcome(expected_diameter, fam)
+        if built[0] == "ok":
+            assert want[0] == "ok" and isinstance(want[1], int), str(fam)
+        else:
+            assert want == built, str(fam)
+
+
+# The gluing loops the family table replaced, kept as the oracle for the
+# one `_chain` fold.
+
+def _fig(name):
+    return build(FamilyId(name), check=False)
+
+
+def _mask(word):
+    return mask_of(letters(word)[0])
+
+
+def _glue_at(left, left_facet, right, right_facet):
+    lv, rv = vertices_of(left_facet), vertices_of(right_facet)
+    spec = GlueSpec(left, right, dict(zip(rv, lv)))
+    return glue(spec), right_vertex_map(spec)
+
+
+def _glued_d4(k, j):
+    block = _fig("dim4")
+    abcd, efgh = _mask("ABCD"), _mask("EFGH")
+    cx = block
+    end = efgh
+    for _ in range(k - 1):
+        cx, mapping = _glue_at(cx, end, block, abcd)
+        end = image(efgh, mapping)
+    if j:
+        cx = append_facet_chain(cx, end, j)
+    return cx
+
+
+def _glued_d3(k, j):
+    g1, g2 = _fig("fig_a5"), _fig("g2")
+    abc, ijk, hij = _mask("ABC"), _mask("IJK"), _mask("HIJ")
+    cx = None
+    end = None
+    for _ in range(k - 1):
+        if cx is None:
+            cx, end = g2, ijk
+        else:
+            cx, mapping = _glue_at(cx, end, g2, abc)
+            end = image(ijk, mapping)
+    if cx is None:
+        cx, end = g1, hij
+    else:
+        cx, mapping = _glue_at(cx, end, g1, abc)
+        end = image(hij, mapping)
+    if j:
+        cx = append_facet_chain(cx, end, j)
+    return cx
+
+
+def _glued_d3_g0(k, j):
+    g0, g1, g2 = _fig("fig_a4"), _fig("fig_a5"), _fig("g2")
+    abc, deh = _mask("ABC"), _mask("DEH")
+    ijk, hij = _mask("IJK"), _mask("HIJ")
+    cx, end = g0, deh
+    for _ in range(k - 1):
+        cx, mapping = _glue_at(cx, end, g2, abc)
+        end = image(ijk, mapping)
+    cx, mapping = _glue_at(cx, end, g1, abc)
+    end = image(hij, mapping)
+    if j > 4:
+        cx = append_facet_chain(cx, end, j - 4)
+    return cx
+
+
+def _shape(cx):
+    return cx.n, cx.facets, cx.names
+
+
+def test_chain_fold_matches_reference_loops():
+    for name, ref, js in (("glued_d4", _glued_d4, range(6)),
+                          ("glued_d3", _glued_d3, range(6)),
+                          ("glued_d3_g0", _glued_d3_g0, range(4, 8))):
+        for k in range(1, 5):
+            for j in js:
+                got = build(FamilyId(name, k=k, j=j), check=False)
+                assert _shape(got) == _shape(ref(k, j)), (name, k, j)
+
+
+def test_extended_figures_match_their_derivations():
+    derived = {
+        "fig_a4_ehi": append_facet_chain(_fig("fig_a4"), _mask("DEH"), 1),
+        "g2": from_masks(list(_fig("fig_a5").facets) + [_mask("IJK")]),
+        "dim4_efgi": from_masks(list(_fig("dim4").facets) + [_mask("EFGI")]),
+    }
+    for name, cx in derived.items():
+        assert _shape(_fig(name)) == _shape(cx), name

@@ -11,6 +11,8 @@ from srdual import (
     is_s2,
     mask_of,
     overlap_facets,
+    parse_facet_file,
+    serialize_facet_file,
 )
 from srdual.errors import (
     DimensionMismatch,
@@ -131,6 +133,14 @@ def test_append_facet_chain_trivial_and_errors():
     assert append_facet_chain(a4, mask_of([3, 4, 7]), 0) == a4
     with pytest.raises(NotAFacet):
         append_facet_chain(a4, mask_of([0, 1, 7]), 1)
+
+
+def test_append_facet_chain_fresh_names_round_trip():
+    # the default name of the first fresh vertex, E, is already taken
+    cx = parse_facet_file("vertices: E B C D\nE B C\nB C D\n")
+    ext = append_facet_chain(cx, mask_of([1, 2, 3]), 2)
+    assert ext.names == ("E", "B", "C", "D", "E'", "F")
+    assert parse_facet_file(serialize_facet_file(ext)) == ext
 
 
 def test_chain_facets_share_ridges():
