@@ -1,31 +1,33 @@
 """Upper-bound formulas and exhaustive search for the max diameter mu(d,n).
 
-The search enumerates facet subsets (size-d vertex sets) by DFS.  One
-isomorph-rejection step is free and sound: every complex has a relabeled
-copy containing the lexicographically first facet {0,...,d-1}, so that
-facet is forced into every candidate subset.  Leaves are filtered by
-vertex coverage, dual-graph connectivity, a cheap eccentricity probe,
-and (S2) before the full diameter is computed.  (S2) of a connected
-leaf is one face-star test for every d: for each face s with
-1 <= |s| <= d-2, the chosen facets that hold s must be connected.
-Larger faces need no test, since the facets holding a (d-1)-face are
-pairwise adjacent.  The diameter of a leaf that passes grows a ball
-around every chosen facet at once, all of them rows of one packed int.
-Ties on the diameter are broken by the facet count, then by vertex
-invariants read off the star masks, then by the canonical form, which
-places labels lowest first and extends only the partial labelings whose
-finished facets form the least prefix of the key.
+A generator yields, in include-first DFS order, the sets of candidate
+facets (size-d vertex sets) that cover all n vertices and hold
+{0,...,d-1}; every complex has a relabeled copy holding that facet, so
+this isomorph rejection is free and sound.  One leaf evaluator per (d, n)
+keeps the incumbent and applies the leaf rules in order: connectivity,
+an eccentricity probe, (S2), the diameter, the proved bound, the
+tie-break.  (S2) of a connected leaf is one face-star test: for each face
+s with 1 <= |s| <= d-2, the chosen facets holding s must be connected
+(those holding a (d-1)-face are pairwise adjacent).  The diameter grows
+a ball around every chosen facet at once, as rows of one packed int.
+Ties go to the smaller facet count, then vertex invariants read off the
+star masks, then the canonical form.  A flat loop over the tasks feeds
+the evaluator and checkpoints each finished task; a checkpoint's
+incumbent re-enters through the evaluator.  A run is exhaustive exactly
+when no budget stopped it before a leaf.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 import time
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import and_
+from math import comb
+from operator import and_, or_
 from typing import Optional
 
 from .complexes import SimplicialComplex, mask_of, star_masks, vertices_of
@@ -242,28 +244,36 @@ class SearchResult:
 
 CHECKPOINT_VERSION = "mu-search-v1"
 _TASK_LEVELS = 3  # decisions fixed per task: 2^_TASK_LEVELS tasks
+_DONE_LINE = re.compile(r"done (\d+)")
+_INCUMBENT_LINE = re.compile(r"incumbent (\d+)((?: [0-9a-f]+)*)")
+
+
+def _task_levels(d, n):
+    """Candidates after the forced first facet whose choice a task fixes."""
+    return min(_TASK_LEVELS, comb(n, d) - 1)
 
 
 def _read_checkpoint(path, d, n):
     done: set[int] = set()
     incumbent = (-1, None)
     try:
-        with open(path) as fh:
+        with open(path, errors="replace") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except FileNotFoundError:
         return done, incumbent
-    if not lines or lines[0] != CHECKPOINT_VERSION:
+    if len(lines) < 2 or lines[0] != CHECKPOINT_VERSION:
         raise BadParams("unrecognized checkpoint file")
     header = lines[1].split()
     if header != ["d=%d" % d, "n=%d" % n]:
         raise BadParams("checkpoint is for different parameters")
+    tasks = 1 << _task_levels(d, n)
     for ln in lines[2:]:
-        kind, _, rest = ln.partition(" ")
-        if kind == "done":
-            done.add(int(rest))
-        elif kind == "incumbent":
-            parts = rest.split()
-            incumbent = (int(parts[0]), tuple(int(x, 16) for x in parts[1:]))
+        if (m := _DONE_LINE.fullmatch(ln)) and int(m[1]) < tasks:
+            done.add(int(m[1]))
+        elif m := _INCUMBENT_LINE.fullmatch(ln):
+            incumbent = (int(m[1]), tuple(int(x, 16) for x in m[2].split()))
+        else:
+            raise BadParams("bad checkpoint line: %r" % ln)
     return done, incumbent
 
 
@@ -289,156 +299,173 @@ def _write_checkpoint(path, d, n, done, incumbent):
         raise
 
 
-def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
-                 checkpoint: Optional[str] = None) -> SearchResult:
-    """Max dual-graph diameter over (S2) pure complexes using all n vertices.
+class _Leaves:
+    """The leaf rules of one mu(d,n) search and the incumbent they keep.
 
-    Exhaustive when the full (isomorph-reduced) subset tree is traversed
-    within budget; otherwise returns the best complex found so far with
-    exhaustive=False.
+    Candidates are the size-d vertex sets in combinations order; a leaf
+    is the mask of the candidate indices it chooses.
     """
-    if not 2 <= d < n:
-        raise BadParams("need 2 <= d < n")
-    budget = budget or SearchBudget()
-    t_start = time.monotonic()
-    # candidates stay in combinations order, which fixes the DFS order;
-    # the complex of all of them is only a carrier for the dual graph
-    cands = tuple(mask_of(c) for c in combinations(range(n), d))
+
+    def __init__(self, d, n):
+        self.d, self.n = d, n
+        # the complex of all candidates is only a carrier for the dual graph
+        self.cands = tuple(mask_of(c) for c in combinations(range(n), d))
+        m = len(self.cands)
+        self.adj = build_dual_graph(SimplicialComplex(n, self.cands)).adjacency
+        self.star = star_masks(self.cands, n)  # candidate-index mask per vertex
+        # the candidates holding each face s with 1 <= |s| <= d-2
+        self.face_stars = [reduce(and_, (self.star[v] for v in s))
+                           for k in range(1, d - 1)
+                           for s in combinations(range(n), k)]
+        # cols[k] has bit p*m set for every row p < k of a packed leaf diameter
+        self.cols = [0] * (m + 1)
+        for k in range(1, m + 1):
+            self.cols[k] = self.cols[k - 1] | 1 << ((k - 1) * m)
+        self.best_bound = bounds(d, n).best
+        # the incumbent: diameter, witness, invariant pre-key, canonical key
+        self.mu, self.witness, self.prekey, self.key = -1, None, None, None
+
+    def __call__(self, chosen):
+        """Offer one leaf to the incumbent and return its diameter.
+
+        None: the leaf is disconnected, fails (S2) or the probe rules it out.
+        """
+        adj = self.adj
+        reached, ecc = bfs(adj, chosen & -chosen, chosen)
+        if reached != chosen:
+            return None
+        # probe: diameter <= 2 * any eccentricity; strict comparison keeps
+        # the set of tie candidates schedule-independent
+        if 2 * ecc < self.mu:
+            return None
+        for fs in self.face_stars:
+            sub = fs & chosen
+            if sub and bfs(adj, sub & -sub, sub)[0] != sub:
+                return None
+        idxs = vertices_of(chosen)
+        size = len(idxs)
+        diam = _leaf_diameter(adj, idxs, chosen, len(self.cands), self.cols[size])
+        if diam > self.best_bound:
+            cx = SimplicialComplex(self.n, tuple(self.cands[i] for i in idxs))
+            raise BoundViolation(
+                "diameter %d exceeds proved bound %d for d=%d n=%d: %r"
+                % (diam, self.best_bound, self.d, self.n, cx), cx)
+        if diam < self.mu:
+            return diam
+        # a tie keeps the minimal witness under (invariant pre-key,
+        # canonical key); the pre-key starts with the facet count, and
+        # the full canonicalization only runs inside the minimal
+        # invariant class
+        if diam == self.mu and size > self.prekey[0]:
+            return diam
+        pk = _prekey([s & chosen for s in self.star], size)
+        if diam == self.mu and pk > self.prekey:
+            return diam
+        cx = SimplicialComplex(self.n, tuple(self.cands[i] for i in idxs))
+        if diam > self.mu or pk < self.prekey:
+            self.mu, self.witness, self.prekey, self.key = diam, cx, pk, None
+        else:
+            if self.key is None:
+                self.key = canonical_form(self.witness).facets
+            key = canonical_form(cx).facets
+            if key < self.key:
+                self.witness, self.key = cx, key
+        return diam
+
+    def resume(self, mu, facets):
+        """Offer a checkpoint's incumbent to a fresh evaluator, as a leaf.
+
+        It must be a leaf, pass every filter and have diameter mu.
+        """
+        bits = {c: 1 << i for i, c in enumerate(self.cands)}
+        chosen = reduce(or_, (bits.get(f, 0) for f in facets), 0)
+        if (chosen.bit_count() != len(facets)
+                or reduce(or_, facets, 0) != (1 << self.n) - 1
+                or self(chosen) != mu):
+            raise BadParams("checkpoint incumbent is not a connected (S2) "
+                            "cover by distinct %d-sets of diameter %d"
+                            % (self.d, mu))
+
+
+def _covering_masks(cands, levels, task):
+    """The leaves of one task in include-first DFS order.
+
+    A leaf is a mask of candidate indices whose candidates cover every
+    vertex.  Candidate 0, {0..d-1}, is in every leaf; bit l of `task`
+    says whether candidate 1 + l is.  A branch ends as soon as the
+    candidates still open cannot cover the vertices still missing.
+    """
     m = len(cands)
-    full_cover = (1 << n) - 1
-    adj = build_dual_graph(SimplicialComplex(n, cands)).adjacency
-    star = star_masks(cands, n)  # candidate-index mask per vertex
-    # the candidates holding each face s with 1 <= |s| <= d-2
-    face_stars = [reduce(and_, (star[v] for v in s))
-                  for k in range(1, d - 1) for s in combinations(range(n), k)]
     # suffix_cover[i] = union of candidate vertex masks from index i on
     suffix_cover = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | cands[i]
-    # cols[k] has bit p*m set for every row p < k of a packed leaf diameter
-    cols = [0] * (m + 1)
-    for k in range(1, m + 1):
-        cols[k] = cols[k - 1] | 1 << ((k - 1) * m)
-
-    best_bound = bounds(d, n).best
-    state = {"mu": -1, "witness": None, "prekey": None, "key": None,
-             "nodes": 0, "stopped": False}
-
-    def consider_leaf(chosen):
-        state["nodes"] += 1
-        lowbit = chosen & -chosen
-        reached, ecc = bfs(adj, lowbit, chosen)
-        if reached != chosen:
-            return
-        # probe: diameter <= 2 * any eccentricity; strict comparison keeps
-        # the set of tie candidates schedule-independent
-        if 2 * ecc < state["mu"]:
-            return
-        for fs in face_stars:
-            sub = fs & chosen
-            if sub and bfs(adj, sub & -sub, sub)[0] != sub:
-                return
-        idxs = vertices_of(chosen)
-        size = len(idxs)
-        diam = _leaf_diameter(adj, idxs, chosen, m, cols[size])
-        if diam > best_bound:
-            cx = SimplicialComplex(n, tuple(cands[i] for i in idxs))
-            raise BoundViolation(
-                "diameter %d exceeds proved bound %d for d=%d n=%d: %r"
-                % (diam, best_bound, d, n, cx), cx)
-        if diam < state["mu"]:
-            return
-        if diam == state["mu"] and size > state["prekey"][0]:
-            return  # the pre-key starts with the facet count
-        facet_tuple = tuple(cands[i] for i in idxs)
-        pk = _prekey([s & chosen for s in star], size)
-        if diam > state["mu"]:
-            state["mu"] = diam
-            state["witness"] = SimplicialComplex(n, facet_tuple)
-            state["prekey"] = pk
-            state["key"] = None
-            return
-        # tie: keep the minimal witness under (invariant pre-key,
-        # canonical key); the full canonicalization only runs inside
-        # the minimal invariant class
-        if pk > state["prekey"]:
-            return
-        cx = SimplicialComplex(n, facet_tuple)
-        if pk < state["prekey"]:
-            state["witness"] = cx
-            state["prekey"] = pk
-            state["key"] = None
-            return
-        if state["key"] is None:
-            state["key"] = canonical_form(state["witness"]).facets
-        key = canonical_form(cx).facets
-        if key < state["key"]:
-            state["witness"] = cx
-            state["key"] = key
-
-    max_nodes = budget.max_nodes
-    max_seconds = budget.max_seconds
-
-    def dfs(idx, chosen, covered):
-        if state["stopped"]:
-            return
-        if max_nodes is not None and state["nodes"] >= max_nodes:
-            state["stopped"] = True
-            return
-        if max_seconds is not None and state["nodes"] % 4096 == 0 \
-                and time.monotonic() - t_start > max_seconds:
-            state["stopped"] = True
-            return
+    full = suffix_cover[0]
+    chosen, covered = 1, cands[0]
+    for lvl in range(levels):
+        if task >> lvl & 1:
+            chosen |= 2 << lvl
+            covered |= cands[1 + lvl]
+    stack = [(1 + levels, chosen, covered)]
+    while stack:
+        idx, chosen, covered = stack.pop()
         if idx == m:
-            if covered == full_cover:
-                consider_leaf(chosen)
-            return
-        if covered | suffix_cover[idx] != full_cover:
-            return  # cannot cover the remaining vertices
-        dfs(idx + 1, chosen | (1 << idx), covered | cands[idx])
-        dfs(idx + 1, chosen, covered)
+            if covered == full:
+                yield chosen
+        elif covered | suffix_cover[idx] == full:
+            stack.append((idx + 1, chosen, covered))
+            stack.append((idx + 1, chosen | 1 << idx, covered | cands[idx]))
 
-    # forced first facet {0..d-1}; tasks fix the next _TASK_LEVELS choices
-    levels = min(_TASK_LEVELS, m - 1)
-    tasks = list(range(1 << levels))
+
+def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
+                 checkpoint: Optional[str] = None) -> SearchResult:
+    """Max dual-graph diameter over (S2) pure complexes using all n vertices.
+
+    Exhaustive when no budget stopped the search before a leaf; otherwise
+    returns the best complex found so far with exhaustive=False.
+    """
+    if not 2 <= d < n:
+        raise BadParams("need 2 <= d < n")
+    budget = budget or SearchBudget()
+    max_nodes, max_seconds = budget.max_nodes, budget.max_seconds
+    if (max_nodes is not None and max_nodes < 0
+            or max_seconds is not None and max_seconds < 0):
+        raise BadParams("search budgets must be >= 0")
+    t_start = time.monotonic()
+    leaves = _Leaves(d, n)
+    levels = _task_levels(d, n)
     done: set[int] = set()
     if checkpoint:
         done, (ck_mu, ck_facets) = _read_checkpoint(checkpoint, d, n)
         if ck_facets is not None:
-            state["mu"] = ck_mu
-            state["witness"] = SimplicialComplex(n, ck_facets)
-            state["prekey"] = _prekey(star_masks(ck_facets, n),
-                                      len(ck_facets))
+            leaves.resume(ck_mu, ck_facets)
 
-    def run_task(t):
-        chosen = 1
-        covered = cands[0]
-        for lvl in range(levels):
-            if t >> lvl & 1:
-                chosen |= 1 << (1 + lvl)
-                covered |= cands[1 + lvl]
-        dfs(1 + levels, chosen, covered)
-
-    for t in tasks:
+    nodes, stopped = 0, False
+    for t in range(1 << levels):
         if t in done:
             continue
-        run_task(t)
-        if state["stopped"]:
+        for chosen in _covering_masks(leaves.cands, levels, t):
+            if (max_nodes is not None and nodes >= max_nodes
+                    or max_seconds is not None and nodes % 4096 == 0
+                    and time.monotonic() - t_start > max_seconds):
+                stopped = True
+                break
+            nodes += 1
+            leaves(chosen)
+        if stopped:
             break
         done.add(t)
         if checkpoint:
             _write_checkpoint(checkpoint, d, n, done,
-                              (state["mu"],
-                               state["witness"].facets
-                               if state["witness"] else None))
+                              (leaves.mu, leaves.witness.facets
+                               if leaves.witness else None))
 
-    exhaustive = not state["stopped"] and len(done) == len(tasks)
-    witness = state["witness"]
+    witness = leaves.witness
     if witness is not None:
         # report the witness in its canonical labeling, where exact
         key = canonical_form(witness)
         if key.exact:
             witness = SimplicialComplex(n, key.facets)
-    return SearchResult(d=d, n=n, mu=state["mu"], witness=witness,
-                        exhaustive=exhaustive, nodes_explored=state["nodes"],
+    return SearchResult(d=d, n=n, mu=leaves.mu, witness=witness,
+                        exhaustive=not stopped, nodes_explored=nodes,
                         elapsed=time.monotonic() - t_start)

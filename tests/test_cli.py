@@ -128,3 +128,10 @@ def test_json_envelope(a2_file, capsys):
                  "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"property": "s2", "holds": True}
+
+
+def test_search_mu_bad_input_exit_code(tmp_path, capsys):
+    ck = _write(tmp_path, "ck.txt", "mu-search-v1\nd=2 n=5\ndone x\n")
+    for extra in (["--checkpoint", ck], ["--budget-nodes", "-1"]):
+        assert main(["search-mu", "--d", "2", "--n", "5"] + extra) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -1,5 +1,6 @@
 import pytest
 
+from srdual import gluing
 from srdual import (
     GlueSpec,
     append_facet_chain,
@@ -15,12 +16,14 @@ from srdual import (
     serialize_facet_file,
 )
 from srdual.errors import (
+    ContractViolation,
     DimensionMismatch,
     NotAFacet,
     OverlapTooSmall,
     UnsupportedLevel,
 )
 from srdual.families import FamilyId
+from srdual.serre import S2Verdict
 
 from conftest import track
 
@@ -158,3 +161,27 @@ def test_diameter_additivity_on_construction():
     # one G2 (diam 10) glued to G1 (diam 9) along a diametral facet
     two = build(FamilyId("glued_d3", k=2, j=0), check=False)
     assert diameter(build_dual_graph(two)) == 10 + 9  # 10*2 - 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_glue_checks_only_its_result_when_it_holds(monkeypatch, k):
+    checked = []
+    real = gluing.is_s2
+    monkeypatch.setattr(gluing, "is_s2",
+                        lambda cx: checked.append(cx) or real(cx))
+    build(FamilyId("glued_d4", k=k, j=0), check=False)
+    assert len(checked) == k - 1  # one per gluing
+
+
+def test_glue_postcondition_checks_inputs_of_a_failing_result(monkeypatch):
+    tri = from_facets([[0, 1, 2]])
+    real = gluing.is_s2
+    # a result that fails (S2) breaks the contract only if both inputs hold
+    monkeypatch.setattr(gluing, "is_s2", lambda cx: S2Verdict(False)
+                        if cx.n == 4 else real(cx))
+    with pytest.raises(ContractViolation):
+        glue(GlueSpec(tri, tri, {0: 0, 1: 1}))
+    bowtie = from_facets([[0, 1, 2], [0, 3, 4]])  # not (S2) at vertex 0
+    assert not is_s2(bowtie).holds
+    glued = glue(GlueSpec(bowtie, tri, {0: 1, 1: 2}))
+    assert not is_s2(glued).holds

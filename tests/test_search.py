@@ -321,3 +321,86 @@ def test_mu_4_6_runs_the_separator_check():
 def test_search_rejects_bad_params():
     with pytest.raises(BadParams):
         enumerate_mu(1, 5)
+
+
+@pytest.mark.parametrize("d,n,leaves", [(3, 5, 497), (2, 6, 14513),
+                                         (4, 6, 16353)])
+def test_exhaustive_means_no_budget_stopped_a_leaf(d, n, leaves):
+    assert enumerate_mu(d, n, SearchBudget(max_nodes=leaves)).exhaustive
+    short = enumerate_mu(d, n, SearchBudget(max_nodes=leaves - 1))
+    assert not short.exhaustive and short.nodes_explored == leaves - 1
+
+
+def _reference_task_leaves(cands, levels, task):
+    """The recursive include-first DFS the leaf generator replaced."""
+    m = len(cands)
+    full = (1 << max(c.bit_length() for c in cands)) - 1
+    suffix_cover = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix_cover[i] = suffix_cover[i + 1] | cands[i]
+    out = []
+
+    def dfs(idx, chosen, covered):
+        if idx == m:
+            if covered == full:
+                out.append(chosen)
+            return
+        if covered | suffix_cover[idx] != full:
+            return  # cannot cover the remaining vertices
+        dfs(idx + 1, chosen | (1 << idx), covered | cands[idx])
+        dfs(idx + 1, chosen, covered)
+
+    chosen = 1
+    covered = cands[0]
+    for lvl in range(levels):
+        if task >> lvl & 1:
+            chosen |= 1 << (1 + lvl)
+            covered |= cands[1 + lvl]
+    dfs(1 + levels, chosen, covered)
+    return out
+
+
+@pytest.mark.parametrize("d,n,leaves", [(2, 3, 3), (3, 5, 497),
+                                         (2, 6, 14513), (4, 6, 16353)])
+def test_leaf_generator_keeps_the_dfs_order(d, n, leaves):
+    cands = [mask_of(c) for c in combinations(range(n), d)]
+    levels = search._task_levels(d, n)
+    total = 0
+    for task in range(1 << levels):
+        got = list(search._covering_masks(cands, levels, task))
+        assert got == _reference_task_leaves(cands, levels, task), task
+        total += len(got)
+    assert total == leaves
+
+
+def _checkpoint(tmp_path, *lines):
+    ck = tmp_path / "ck.txt"
+    text = "\n".join((search.CHECKPOINT_VERSION,) + lines) + "\n"
+    ck.write_bytes(text.encode("latin-1"))
+    return str(ck)
+
+
+@pytest.mark.parametrize("lines", [
+    (),  # no parameter line
+    ("d=2 n=5", "done x"),
+    ("d=2 n=5", "incumbent 3 zz"),
+    ("d=2 n=5", "done 99"),  # tasks are 0..7
+    ("d=2 n=5", "todo 1"),
+    ("d=2 n=5", "done \xff"),  # not UTF-8
+    ("d=2 n=5", "incumbent 3"),  # covers nothing
+    ("d=2 n=5", "incumbent 3 5 a 14 1c"),  # 1c = {2,3,4} is no 2-set
+    ("d=2 n=5", "incumbent 3 5 5 a 14 18"),  # a facet twice
+    ("d=2 n=5", "incumbent 1 3 c 18"),  # {0,1} is cut off
+    ("d=2 n=5", "incumbent 9 5 a 14 18"),  # a path of diameter 3
+    ("d=2 n=5", "incumbent 2 5 a 14 18"),
+])
+def test_bad_checkpoint_is_rejected(tmp_path, lines):
+    with pytest.raises(BadParams):
+        enumerate_mu(2, 5, checkpoint=_checkpoint(tmp_path, *lines))
+
+
+@pytest.mark.parametrize("budget", [SearchBudget(max_nodes=-1),
+                                    SearchBudget(max_seconds=-0.5)])
+def test_negative_budget_is_rejected(budget):
+    with pytest.raises(BadParams):
+        enumerate_mu(2, 5, budget=budget)
