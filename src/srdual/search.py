@@ -8,13 +8,20 @@ keeps the incumbent and applies the leaf rules in order: connectivity,
 an eccentricity probe, (S2), the diameter, the proved bound, the
 tie-break.  (S2) of a connected leaf is one face-star test: for each face
 s with 1 <= |s| <= d-2, the chosen facets holding s must be connected
-(those holding a (d-1)-face are pairwise adjacent).  The diameter grows
-a ball around every chosen facet at once, as rows of one packed int.
-Ties go to the smaller facet count, then vertex invariants read off the
-star masks, then the canonical form.  A flat loop over the tasks feeds
-the evaluator and checkpoints each finished task; a checkpoint's
+(those holding a (d-1)-face are pairwise adjacent).  That verdict
+depends only on the chosen part of the face star, so the evaluator
+memoises it per chosen part, for face stars of at most 12 candidates
+only: the memo then holds at most 2^12 entries per face star, however
+long the run.  The diameter grows a ball around every chosen facet at
+once, as rows of one packed int, starting from the radius-1 balls (the
+facet and its chosen neighbours).  The chosen facets' indices are read
+off the leaf mask one byte at a time, through tables built once per
+(d, n).  Ties go to the smaller facet count, then vertex invariants read
+off the star masks, then the canonical form.  A flat loop over the tasks
+feeds the evaluator and checkpoints each finished task; a checkpoint's
 incumbent re-enters through the evaluator.  A run is exhaustive exactly
-when no budget stopped it before a leaf.
+when no budget stopped it before a leaf; an exhaustive run always has a
+witness, since the complex of all candidates is a connected (S2) leaf.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from math import comb
 from operator import and_, or_
 from typing import Optional
 
-from .complexes import SimplicialComplex, mask_of, star_masks, vertices_of
+from .complexes import SimplicialComplex, mask_of, star_masks
 from .errors import BadParams, BoundViolation
 from .dual_graph import UNBOUNDED, bfs, build_dual_graph, diameter
 
@@ -207,15 +214,18 @@ def _leaf_diameter(adj, idxs, chosen, m, col):
 
     `chosen` is the mask of `idxs`, m the node count and `col` the mask
     with bit p*m set for every row p < len(idxs).  Row p of one packed
-    int, bits [p*m, (p+1)*m), is the ball around idxs[p]; a step grows
-    every ball by one edge at once.  adj[j] < 2**m, so a product never
-    carries into the next row.
+    int, bits [p*m, (p+1)*m), is the ball around idxs[p]; the balls start
+    at radius 1 and a step grows every ball by one edge at once.
+    adj[j] < 2**m, so a product never carries into the next row.
     """
+    if len(idxs) == 1:
+        return 0  # the radius-1 start would count one step
     balls = 0
     for p, i in enumerate(idxs):
-        balls |= 1 << (p * m + i)
+        balls |= (adj[i] | 1 << i) << (p * m)
     full = chosen * col
-    steps = 0
+    balls &= full
+    steps = 1
     while balls != full:
         grown = balls
         for j in idxs:
@@ -246,6 +256,9 @@ CHECKPOINT_VERSION = "mu-search-v1"
 _TASK_LEVELS = 3  # decisions fixed per task: 2^_TASK_LEVELS tasks
 _DONE_LINE = re.compile(r"done (\d+)")
 _INCUMBENT_LINE = re.compile(r"incumbent (\d+)((?: [0-9a-f]+)*)")
+#: face stars with at most this many candidates memoise their (S2)
+#: verdicts, so an evaluator's memo holds at most 2^12 entries per star
+_MEMO_STAR_MAX = 12
 
 
 def _task_levels(d, n):
@@ -313,10 +326,20 @@ class _Leaves:
         m = len(self.cands)
         self.adj = build_dual_graph(SimplicialComplex(n, self.cands)).adjacency
         self.star = star_masks(self.cands, n)  # candidate-index mask per vertex
-        # the candidates holding each face s with 1 <= |s| <= d-2
-        self.face_stars = [reduce(and_, (self.star[v] for v in s))
-                           for k in range(1, d - 1)
-                           for s in combinations(range(n), k)]
+        # the candidates holding each face s with 1 <= |s| <= d-2, and
+        # whether its verdicts go into the memo
+        face_stars = [reduce(and_, (self.star[v] for v in s))
+                      for k in range(1, d - 1)
+                      for s in combinations(range(n), k)]
+        self.face_stars = [(fs, fs.bit_count() <= _MEMO_STAR_MAX)
+                           for fs in face_stars]
+        # is the chosen part of a face star connected: sub -> verdict
+        self.memo: dict[int, bool] = {}
+        # byte_idxs[k][b] = the candidate indices of bits 8k..8k+7 set in b
+        self.byte_idxs = [
+            tuple(tuple(8 * k + j for j in range(8) if b >> j & 1)
+                  for b in range(256))
+            for k in range((m + 7) // 8)]
         # cols[k] has bit p*m set for every row p < k of a packed leaf diameter
         self.cols = [0] * (m + 1)
         for k in range(1, m + 1):
@@ -338,11 +361,23 @@ class _Leaves:
         # the set of tie candidates schedule-independent
         if 2 * ecc < self.mu:
             return None
-        for fs in self.face_stars:
+        memo = self.memo
+        for fs, keep in self.face_stars:
             sub = fs & chosen
-            if sub and bfs(adj, sub & -sub, sub)[0] != sub:
+            if not sub:
+                continue
+            ok = memo.get(sub)
+            if ok is None:
+                ok = bfs(adj, sub & -sub, sub)[0] == sub
+                if keep:
+                    memo[sub] = ok
+            if not ok:
                 return None
-        idxs = vertices_of(chosen)
+        idxs = ()
+        rest = chosen
+        for table in self.byte_idxs:
+            idxs += table[rest & 255]
+            rest >>= 8
         size = len(idxs)
         diam = _leaf_diameter(adj, idxs, chosen, len(self.cands), self.cols[size])
         if diam > self.best_bound:
@@ -461,6 +496,11 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
                                if leaves.witness else None))
 
     witness = leaves.witness
+    if witness is None and not stopped:
+        # the complex of all candidates is a connected (S2) leaf, so only
+        # a checkpoint that marks tasks done without their incumbent ends here
+        raise BadParams("exhaustive run found no witness: the checkpoint "
+                        "marks tasks done but holds no incumbent")
     if witness is not None:
         # report the witness in its canonical labeling, where exact
         key = canonical_form(witness)

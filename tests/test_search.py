@@ -1,6 +1,6 @@
 import os
 import random
-from itertools import combinations, permutations
+from itertools import chain, combinations, islice, permutations
 
 import pytest
 
@@ -268,6 +268,22 @@ def test_search_matches_brute_force(d, n, leaves):
     assert res.mu == mu and res.exhaustive
 
 
+def _shortest_path_nodes(adj, m):
+    """Node mask and length of a shortest path from node 0 to a farthest node.
+
+    A shortest path has no chords, so the nodes induce a path.
+    """
+    levels = []
+    bfs(adj, 1, (1 << m) - 1, levels)
+    node = levels[-1] & -levels[-1]
+    path = node
+    for level in reversed(levels[:-1]):
+        node = adj[node.bit_length() - 1] & level
+        node &= -node
+        path |= node
+    return path, len(levels) - 1
+
+
 def test_leaf_diameter_matches_per_source_bfs():
     rng = random.Random(11)
     checked = 0
@@ -275,6 +291,16 @@ def test_leaf_diameter_matches_per_source_bfs():
         cands = [mask_of(c) for c in combinations(range(n), d)]
         m = len(cands)
         adj = build_dual_graph(SimplicialComplex(n, tuple(cands))).adjacency
+        # every one-node and two-node leaf, and an induced path
+        fixed = [(1 << i, 0) for i in range(m)]
+        fixed += [(1 << i | 1 << j, 1) for i in range(m) for j in range(i)
+                  if adj[i] >> j & 1]
+        fixed.append(_shortest_path_nodes(adj, m))
+        assert fixed[-1][1] >= 2
+        for chosen, want in fixed:
+            idxs = vertices_of(chosen)
+            col = sum(1 << (p * m) for p in range(len(idxs)))
+            assert search._leaf_diameter(adj, idxs, chosen, m, col) == want
         for _ in range(60):
             chosen = 0
             for i in rng.sample(range(m), rng.randint(1, m)):
@@ -288,6 +314,119 @@ def test_leaf_diameter_matches_per_source_bfs():
             assert got == want, (d, n, idxs)
             checked += 1
     assert checked >= 100
+
+
+def _reference_leaf_diameter(adj, idxs, chosen, m, col):
+    """The radius-0 packed diameter the radius-1 start replaced."""
+    balls = 0
+    for p, i in enumerate(idxs):
+        balls |= 1 << (p * m + i)
+    full = chosen * col
+    steps = 0
+    while balls != full:
+        grown = balls
+        for j in idxs:
+            grown |= ((balls >> j) & col) * adj[j]
+        balls = grown & full
+        steps += 1
+    return steps
+
+
+class _ReferenceLeaves(search._Leaves):
+    """The leaf evaluator before the face-star memo and the byte tables.
+
+    One BFS per face star, vertices_of on every leaf and the radius-0
+    packed diameter; kept as the oracle of search._Leaves.
+    """
+
+    def __call__(self, chosen):
+        adj = self.adj
+        reached, ecc = bfs(adj, chosen & -chosen, chosen)
+        if reached != chosen:
+            return None
+        if 2 * ecc < self.mu:
+            return None
+        for fs, _ in self.face_stars:
+            sub = fs & chosen
+            if sub and bfs(adj, sub & -sub, sub)[0] != sub:
+                return None
+        idxs = vertices_of(chosen)
+        size = len(idxs)
+        diam = _reference_leaf_diameter(adj, idxs, chosen, len(self.cands),
+                                        self.cols[size])
+        if diam > self.best_bound:
+            cx = SimplicialComplex(self.n, tuple(self.cands[i] for i in idxs))
+            raise search.BoundViolation(
+                "diameter %d exceeds proved bound %d for d=%d n=%d: %r"
+                % (diam, self.best_bound, self.d, self.n, cx), cx)
+        if diam < self.mu:
+            return diam
+        if diam == self.mu and size > self.prekey[0]:
+            return diam
+        pk = search._prekey([s & chosen for s in self.star], size)
+        if diam == self.mu and pk > self.prekey:
+            return diam
+        cx = SimplicialComplex(self.n, tuple(self.cands[i] for i in idxs))
+        if diam > self.mu or pk < self.prekey:
+            self.mu, self.witness, self.prekey, self.key = diam, cx, pk, None
+        else:
+            if self.key is None:
+                self.key = canonical_form(self.witness).facets
+            key = canonical_form(cx).facets
+            if key < self.key:
+                self.witness, self.key = cx, key
+        return diam
+
+
+def _leaf_stream(d, n, limit=None):
+    """The search's leaves of (d, n) in order, the first `limit` of them."""
+    cands = search._Leaves(d, n).cands
+    levels = search._task_levels(d, n)
+    return islice(chain.from_iterable(
+        search._covering_masks(cands, levels, t) for t in range(1 << levels)),
+        limit)
+
+
+@pytest.mark.parametrize("d,n,limit", [(3, 5, None), (2, 6, None),
+                                       (4, 6, None), (3, 7, 20000),
+                                       (4, 7, 20000)])
+def test_leaves_match_reference_evaluator(d, n, limit):
+    fast, ref = search._Leaves(d, n), _ReferenceLeaves(d, n)
+    count = 0
+    for chosen in _leaf_stream(d, n, limit):
+        assert fast(chosen) == ref(chosen), (d, n, chosen)
+        count += 1
+    assert limit in (None, count) and ref.witness is not None
+    assert (fast.mu, fast.witness, fast.prekey, fast.key) == (
+        ref.mu, ref.witness, ref.prekey, ref.key)
+    # no covering leaf has one facet, so the one-facet masks are offered
+    # to fresh evaluators on their own
+    for i in range(len(fast.cands)):
+        fast, ref = search._Leaves(d, n), _ReferenceLeaves(d, n)
+        assert fast(1 << i) == ref(1 << i) == 0
+        assert (fast.mu, fast.witness) == (ref.mu, ref.witness)
+
+
+def _memo_bound(leaves):
+    """Sum of 2^|fs| over the face stars whose verdicts are memoised."""
+    return sum(1 << fs.bit_count() for fs, keep in leaves.face_stars if keep)
+
+
+def test_face_star_memo_is_bounded_and_per_evaluator():
+    runs = []
+    for d, n, limit in [(4, 8, 5000), (3, 6, None)]:
+        leaves = search._Leaves(d, n)
+        for chosen in _leaf_stream(d, n, limit):
+            leaves(chosen)
+        assert len(leaves.memo) <= _memo_bound(leaves)
+        runs.append(leaves)
+    big, small = runs
+    # (4,8) face stars have 35 and 15 candidates: none is memoised
+    assert _memo_bound(big) == 0 and big.memo == {}
+    assert _memo_bound(small) == 6 << 10 and small.memo
+    assert small.mu == 3
+    fresh = search._Leaves(3, 6)
+    assert fresh.memo == {} and fresh.memo is not small.memo
 
 
 # mu, canonical witness and leaf count of budgeted runs, as computed by
@@ -397,6 +536,27 @@ def _checkpoint(tmp_path, *lines):
 def test_bad_checkpoint_is_rejected(tmp_path, lines):
     with pytest.raises(BadParams):
         enumerate_mu(2, 5, checkpoint=_checkpoint(tmp_path, *lines))
+
+
+@pytest.mark.parametrize("d,n,tasks", [(2, 5, range(8)),
+                                       (2, 3, (1, 2, 3))])
+def test_exhaustive_run_without_witness_is_rejected(tmp_path, d, n, tasks):
+    # an exhaustive run always has a witness: the complex of all
+    # candidates is a connected (S2) leaf; task 0 of (2,3), the one left
+    # open here, has no leaves at all
+    lines = ["d=%d n=%d" % (d, n)] + ["done %d" % t for t in tasks]
+    with pytest.raises(BadParams):
+        enumerate_mu(d, n, checkpoint=_checkpoint(tmp_path, *lines))
+
+
+def test_checkpoint_without_incumbent_resumes(tmp_path):
+    # task 0 of (2,3) leaves out both other candidates: it has no leaves,
+    # so it finishes with no incumbent to record
+    assert list(search._covering_masks(search._Leaves(2, 3).cands, 2, 0)) == []
+    ck = _checkpoint(tmp_path, "d=2 n=3", "done 0")
+    resumed, full = enumerate_mu(2, 3, checkpoint=ck), enumerate_mu(2, 3)
+    assert resumed.exhaustive and resumed.mu == full.mu == 1
+    assert resumed.witness.facets == full.witness.facets
 
 
 @pytest.mark.parametrize("budget", [SearchBudget(max_nodes=-1),
