@@ -380,7 +380,7 @@ class _ReferenceLeaves(search._Leaves):
 
 def _leaf_stream(d, n, limit=None):
     """The search's leaves of (d, n) in order, the first `limit` of them."""
-    cands = search._Leaves(d, n).cands
+    cands = [mask_of(c) for c in combinations(range(n), d)]
     levels = search._task_levels(d, n)
     return islice(chain.from_iterable(
         search._covering_masks(cands, levels, t) for t in range(1 << levels)),
