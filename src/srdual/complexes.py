@@ -128,7 +128,7 @@ class SimplicialComplex:
     def has_face(self, face: int) -> bool:
         return any(face & f == face for f in self.facets)
 
-    def faces(self, include_empty: bool = False):
+    def faces(self):
         """All faces, smallest first; generated from facet subsets."""
         seen: set[int] = set()
         for f in self.facets:
@@ -136,10 +136,7 @@ class SimplicialComplex:
             for k in range(1, len(vs) + 1):
                 for comb in combinations(vs, k):
                     seen.add(mask_of(comb))
-        out = sorted(seen, key=lambda m: (m.bit_count(), m))
-        if include_empty:
-            out.insert(0, 0)
-        return out
+        return sorted(seen, key=lambda m: (m.bit_count(), m))
 
     def __repr__(self):
         body = ",".join(self.facet_name(f) for f in self.facets)

@@ -18,10 +18,12 @@ facet and its chosen neighbours).  The chosen facets' indices are read
 off the leaf mask one byte at a time, through tables built once per
 (d, n).  Ties go to the smaller facet count, then vertex invariants read
 off the star masks, then the canonical form.  A flat loop over the tasks
-feeds the evaluator and checkpoints each finished task; a checkpoint's
-incumbent re-enters through the evaluator.  A run is exhaustive exactly
-when no budget stopped it before a leaf; an exhaustive run always has a
-witness, since the complex of all candidates is a connected (S2) leaf.
+feeds the evaluator and checkpoints each finished task once there is
+an incumbent, so a checkpoint that marks tasks done always holds one; a
+checkpoint's incumbent re-enters through the evaluator.  A run is
+exhaustive exactly when no budget stopped it before a leaf; an
+exhaustive run always has a witness, since the complex of all
+candidates is a connected (S2) leaf.
 """
 
 from __future__ import annotations
@@ -287,6 +289,8 @@ def _read_checkpoint(path, d, n):
             incumbent = (int(m[1]), tuple(int(x, 16) for x in m[2].split()))
         else:
             raise BadParams("bad checkpoint line: %r" % ln)
+    if done and incumbent[1] is None:
+        raise BadParams("checkpoint marks tasks done but holds no incumbent")
     return done, incumbent
 
 
@@ -296,8 +300,7 @@ def _write_checkpoint(path, d, n, done, incumbent):
     for t in sorted(done):
         lines.append("done %d" % t)
     mu, facets = incumbent
-    if facets is not None:
-        lines.append("incumbent %d %s" % (mu, " ".join("%x" % f for f in facets)))
+    lines.append("incumbent %d %s" % (mu, " ".join("%x" % f for f in facets)))
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                prefix=os.path.basename(path) + ".",
                                suffix=".tmp")
@@ -490,17 +493,11 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
         if stopped:
             break
         done.add(t)
-        if checkpoint:
+        if checkpoint and leaves.witness is not None:
             _write_checkpoint(checkpoint, d, n, done,
-                              (leaves.mu, leaves.witness.facets
-                               if leaves.witness else None))
+                              (leaves.mu, leaves.witness.facets))
 
     witness = leaves.witness
-    if witness is None and not stopped:
-        # the complex of all candidates is a connected (S2) leaf, so only
-        # a checkpoint that marks tasks done without their incumbent ends here
-        raise BadParams("exhaustive run found no witness: the checkpoint "
-                        "marks tasks done but holds no incumbent")
     if witness is not None:
         # report the witness in its canonical labeling, where exact
         key = canonical_form(witness)

@@ -4,25 +4,29 @@ Two independent (S2) tests are provided: local connectedness of the
 facet-ridge graph, and the linear-first-syzygy path test on the Alexander
 dual ideal.  Their agreement on pure complexes is itself a tested
 invariant, not an assumption.
+
+Homology has one sparse elimination for Q and every GF(p).  Betti
+numbers come from a face list with the empty face added; the Buchsbaum
+check reads each link's faces off the complex's one face list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Optional
 
 from .complexes import (
     MonomialIdeal,
     SimplicialComplex,
     alexander_dual_ideal,
-    link,
-    mask_of,
     star_masks,
     vertices_of,
 )
 from .dual_graph import bfs, build_dual_graph
-from .errors import DimensionTooSmall, NotEquigenerated, NotPure, UnsupportedLevel
+from .errors import (BadParams, DimensionTooSmall, NotEquigenerated, NotPure,
+                     UnsupportedLevel)
 
 
 @dataclass(frozen=True)
@@ -153,107 +157,99 @@ class BettiVector:
         return self.reduced_betti[i + 1]
 
 
-def _rank_q(rows):
-    """Rank over the rationals by fraction-free style elimination."""
-    rows = [[Fraction(x) for x in r] for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, len(rows)):
-            c = rows[r][col]
-            if c:
-                f = c * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-        rank += 1
-        col += 1
-    return rank
+def _check_field(field):
+    """Reject a field that is neither Q (0) nor GF(p) for a prime p."""
+    if field != 0 and (not isinstance(field, int) or field < 2 or any(
+            field % q == 0 for q in range(2, isqrt(field) + 1))):
+        raise BadParams("field must be 0 or a prime, not %r" % (field,))
 
 
-def _rank_mod_p(rows, p):
-    """Rank over GF(p), p prime, by Gaussian elimination."""
-    rows = [[x % p for x in r] for r in rows if any(x % p for x in r)]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        for r in range(rank + 1, len(rows)):
-            c = rows[r][col]
-            if c:
-                f = c * inv % p
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+def _rank(rows, field):
+    """Rank of sparse rows over Q (field=0) or GF(p) (field=p).
+
+    A row is a dict from column to an entry that is nonzero in the field.
+    Each row is reduced against the kept pivot rows, keyed by their
+    lowest column and scaled to a leading 1, until it is zero or leads a
+    new column.
+    """
+    pivots: dict[int, dict[int, object]] = {}
+    for row in rows:
+        row = {c: x % field for c, x in row.items()} if field else dict(row)
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                if field:
+                    inv = pow(row[lead], -1, field)
+                    pivots[lead] = {c: x * inv % field for c, x in row.items()}
+                else:
+                    inv = 1 / Fraction(row[lead])
+                    pivots[lead] = {c: x * inv for c, x in row.items()}
+                break
+            f = row[lead]
+            for c, x in piv.items():
+                y = row.get(c, 0) - f * x
+                if field:
+                    y %= field
+                if y:
+                    row[c] = y
+                else:
+                    del row[c]
+    return len(pivots)
+
+
+def _betti(faces, field):
+    """Reduced Betti numbers, from dimension -1 up, of the complex whose
+    nonempty faces are `faces`, listed by size.  Faces are numbered
+    within their size, the empty face being the one face of size 0."""
+    index = {0: 0}
+    counts = [1]
+    rows: list[list[dict[int, int]]] = [[]]
+    for face in faces:
+        k = face.bit_count()
+        if k == len(counts):
+            counts.append(0)
+            rows.append([])
+        index[face] = counts[k]
+        counts[k] += 1
+        row = {}
+        sign = 1
+        for v in vertices_of(face):
+            row[index[face ^ (1 << v)]] = sign
+            sign = -sign
+        rows[k].append(row)
+    # ranks[k] = rank of the boundary from size k to size k-1
+    ranks = [_rank(r, field) for r in rows] + [0]
+    return tuple(c - ranks[k] - ranks[k + 1] for k, c in enumerate(counts))
 
 
 def reduced_betti(cx: SimplicialComplex, field: int = 0) -> BettiVector:
     """Exact reduced Betti numbers over Q (field=0) or GF(p) (field=p)."""
-    if cx.facets == (0,):
-        # The {∅} complex: one (-1)-cell and nothing else.
-        return BettiVector((1,), field)
-    # faces graded by dimension; grade k holds (k+1)-element faces
-    by_dim: list[dict[int, int]] = []
-    for face in cx.faces():
-        k = face.bit_count() - 1
-        while len(by_dim) <= k:
-            by_dim.append({})
-        by_dim[k][face] = len(by_dim[k])
-    top = len(by_dim) - 1
-
-    def boundary_rows(k):
-        """Rows of ∂_k: C_k -> C_{k-1} (one row per k-face)."""
-        lower = by_dim[k - 1] if k > 0 else {0: 0}
-        rows = []
-        for face, _ in sorted(by_dim[k].items(), key=lambda kv: kv[1]):
-            row = [0] * len(lower)
-            vs = vertices_of(face)
-            for i in range(len(vs)):
-                sub = mask_of(v for idx, v in enumerate(vs) if idx != i)
-                row[lower[sub]] = (-1) ** i
-            rows.append(row)
-        return rows
-
-    if field == 0:
-        rank = _rank_q
-    else:
-        rank = lambda rows: _rank_mod_p(rows, field)  # noqa: E731
-
-    ranks = [rank(boundary_rows(k)) for k in range(top + 1)]
-    ranks.append(0)  # rank of ∂_{top+1}
-    betti = [1 - ranks[0]]  # reduced beta_{-1}; zero for nonempty complexes
-    for k in range(top + 1):
-        betti.append(len(by_dim[k]) - ranks[k] - ranks[k + 1])
-    return BettiVector(tuple(betti), field)
+    _check_field(field)
+    return BettiVector(_betti(cx.faces(), field), field)
 
 
 def is_buchsbaum(cx: SimplicialComplex, field: int = 0) -> bool:
-    """Pure, and every nonempty face's link has homology only in top dim."""
+    """Pure, and every nonempty face's link has homology only in top dim.
+
+    The faces of lk F are g ^ F for the faces g ⊋ F.  The link of a
+    k-face has dimension d-k-1.  Only faces of at most d-2 vertices are
+    checked: links of larger faces (point sets and {∅}) have no lower
+    homology.
+    """
+    _check_field(field)
     d = cx.d
     if d is None:
         return False
     if d < 2:
         raise DimensionTooSmall("need facet size >= 2")
-    for face in cx.faces():
-        lk = link(cx, face)
-        if lk.facets == (0,):
-            continue
-        top = max(f.bit_count() for f in lk.facets) - 1
-        bv = reduced_betti(lk, field)
-        if any(bv.betti(i) for i in range(-1, top)):
+    faces = cx.faces()
+    for face in faces:
+        k = face.bit_count()
+        if k > d - 2:
+            break
+        link_faces = [g ^ face for g in faces if g & face == face and g != face]
+        if any(_betti(link_faces, field)[:d - k]):
             return False
     return True
 

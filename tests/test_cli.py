@@ -132,7 +132,7 @@ def test_json_envelope(a2_file, capsys):
 
 def test_search_mu_bad_input_exit_code(tmp_path, capsys):
     ck = _write(tmp_path, "ck.txt", "mu-search-v1\nd=2 n=5\ndone x\n")
-    # every task done but no incumbent: an exhaustive run with no witness
+    # every task done but no incumbent line
     no_incumbent = _write(tmp_path, "all.txt", "mu-search-v1\nd=2 n=5\n"
                           + "".join("done %d\n" % t for t in range(8)))
     for extra in (["--checkpoint", ck], ["--budget-nodes", "-1"],

@@ -539,21 +539,26 @@ def test_bad_checkpoint_is_rejected(tmp_path, lines):
 
 
 @pytest.mark.parametrize("d,n,tasks", [(2, 5, range(8)),
-                                       (2, 3, (1, 2, 3))])
+                                       (2, 3, (1, 2, 3)),
+                                       (2, 6, range(7))])
 def test_exhaustive_run_without_witness_is_rejected(tmp_path, d, n, tasks):
-    # an exhaustive run always has a witness: the complex of all
-    # candidates is a connected (S2) leaf; task 0 of (2,3), the one left
-    # open here, has no leaves at all
+    # a checkpoint that marks tasks done must hold the incumbent they
+    # found: with every task of (2,5) done the run would end with no
+    # witness, and with tasks 0..6 of (2,6) done it would end exhaustive
+    # with mu=3, though mu(2,6)=4
     lines = ["d=%d n=%d" % (d, n)] + ["done %d" % t for t in tasks]
     with pytest.raises(BadParams):
         enumerate_mu(d, n, checkpoint=_checkpoint(tmp_path, *lines))
 
 
-def test_checkpoint_without_incumbent_resumes(tmp_path):
+def test_checkpoint_waits_for_an_incumbent(tmp_path):
     # task 0 of (2,3) leaves out both other candidates: it has no leaves,
-    # so it finishes with no incumbent to record
+    # so it finishes with no incumbent and no checkpoint is written
     assert list(search._covering_masks(search._Leaves(2, 3).cands, 2, 0)) == []
-    ck = _checkpoint(tmp_path, "d=2 n=3", "done 0")
+    ck = str(tmp_path / "ck.txt")
+    stopped = enumerate_mu(2, 3, budget=SearchBudget(max_nodes=0),
+                           checkpoint=ck)
+    assert not stopped.exhaustive and not os.path.exists(ck)
     resumed, full = enumerate_mu(2, 3, checkpoint=ck), enumerate_mu(2, 3)
     assert resumed.exhaustive and resumed.mu == full.mu == 1
     assert resumed.witness.facets == full.witness.facets

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from srdual import (
     MonomialIdeal,
+    SimplicialComplex,
     UNBOUNDED,
     alexander_dual_ideal,
     build,
@@ -17,13 +19,20 @@ from srdual import (
     is_buchsbaum,
     is_locally_connected,
     is_s2,
+    link,
     linear_syzygy_check,
     mask_of,
     reduced_betti,
     s2_oracle_pair,
+    vertices_of,
 )
 from srdual.dual_graph import bfs
-from srdual.errors import NotEquigenerated, UnsupportedLevel
+from srdual.errors import (
+    BadParams,
+    DimensionTooSmall,
+    NotEquigenerated,
+    UnsupportedLevel,
+)
 from srdual.families import FamilyId, corpus
 
 from conftest import random_pure_complex, track
@@ -140,10 +149,8 @@ def test_reduced_betti_solid_triangle():
 def test_reduced_betti_depends_on_the_field():
     # the 6-vertex real projective plane: H_1 = Z/2, so it is acyclic over
     # Q and GF(3) but has one cycle in degrees 1 and 2 over GF(2)
-    rp2 = from_facets([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
-                       [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5]])
     for field, want in [(0, (0, 0, 0, 0)), (3, (0, 0, 0, 0)), (2, (0, 0, 1, 1))]:
-        bv = reduced_betti(rp2, field)
+        bv = reduced_betti(_RP2, field)
         assert bv.reduced_betti == want and bv.field_tag == field
 
 
@@ -154,6 +161,150 @@ def test_reduced_betti_b0_is_components_minus_one():
         comps = connected_components(cx)
         for field in (0, 2):
             assert reduced_betti(cx, field).betti(0) == comps - 1
+
+
+def _reference_rank_q(rows):
+    """Rank over the rationals by dense Gaussian elimination."""
+    rows = [[Fraction(x) for x in r] for r in rows if any(r)]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        inv = 1 / prow[col]
+        for r in range(rank + 1, len(rows)):
+            c = rows[r][col]
+            if c:
+                f = c * inv
+                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _reference_rank_mod_p(rows, p):
+    """Rank over GF(p), p prime, by dense Gaussian elimination."""
+    rows = [[x % p for x in r] for r in rows if any(x % p for x in r)]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(rank + 1, len(rows)):
+            c = rows[r][col]
+            if c:
+                f = c * inv % p
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _reference_reduced_betti(cx, field=0):
+    """Reduced Betti numbers from dense boundary matrices, graded by
+    dimension, with {∅} as a special case."""
+    if cx.facets == (0,):
+        return (1,)
+    by_dim = []
+    for face in cx.faces():
+        k = face.bit_count() - 1
+        while len(by_dim) <= k:
+            by_dim.append({})
+        by_dim[k][face] = len(by_dim[k])
+    top = len(by_dim) - 1
+
+    def boundary_rows(k):
+        lower = by_dim[k - 1] if k > 0 else {0: 0}
+        rows = []
+        for face, _ in sorted(by_dim[k].items(), key=lambda kv: kv[1]):
+            row = [0] * len(lower)
+            vs = vertices_of(face)
+            for i in range(len(vs)):
+                sub = mask_of(v for idx, v in enumerate(vs) if idx != i)
+                row[lower[sub]] = (-1) ** i
+            rows.append(row)
+        return rows
+
+    if field == 0:
+        rank = _reference_rank_q
+    else:
+        rank = lambda rows: _reference_rank_mod_p(rows, field)  # noqa: E731
+    ranks = [rank(boundary_rows(k)) for k in range(top + 1)]
+    ranks.append(0)
+    betti = [1 - ranks[0]]
+    for k in range(top + 1):
+        betti.append(len(by_dim[k]) - ranks[k] - ranks[k + 1])
+    return tuple(betti)
+
+
+def _reference_is_buchsbaum(cx, field=0):
+    """Buchsbaum check that builds the link of every nonempty face."""
+    d = cx.d
+    if d is None:
+        return False
+    if d < 2:
+        raise DimensionTooSmall("need facet size >= 2")
+    for face in cx.faces():
+        lk = link(cx, face)
+        if lk.facets == (0,):
+            continue
+        top = max(f.bit_count() for f in lk.facets) - 1
+        bv = _reference_reduced_betti(lk, field)
+        if any(bv[i + 1] for i in range(-1, top)):
+            return False
+    return True
+
+
+_RP2 = from_facets([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 1, 5],
+                    [1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5]])
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except DimensionTooSmall as exc:
+        return type(exc)
+
+
+def test_homology_matches_reference_dense_elimination():
+    rng = random.Random(53)
+    complexes = [random_pure_complex(rng, dims=(d,))
+                 for d in (2, 3, 4, 5) for _ in range(40)]
+    complexes += [cx for _, cx, _, _ in corpus() if len(cx.facets) <= 40]
+    complexes += [_RP2, SimplicialComplex(0, (0,)), from_facets([[0]])]
+    verdicts = {d: set() for d in range(6)}
+    for cx in complexes:
+        for field in (0, 2, 3):
+            bv = reduced_betti(cx, field)
+            assert bv.reduced_betti == _reference_reduced_betti(cx, field), cx
+            assert bv.field_tag == field
+        for field in (0, 2):
+            want = _outcome(_reference_is_buchsbaum, cx, field)
+            assert _outcome(is_buchsbaum, cx, field) == want, (cx, field)
+            if cx.d is not None:
+                verdicts[cx.d].add(want)
+    assert verdicts[4] == verdicts[5] == {True, False}
+
+
+@pytest.mark.parametrize("field", [1, 4, 9, -2])
+def test_field_must_be_zero_or_prime(field):
+    circle = from_facets([[0, 1], [1, 2], [0, 2]])
+    for cx in (circle, _RP2):
+        with pytest.raises(BadParams):
+            reduced_betti(cx, field)
+        with pytest.raises(BadParams):
+            is_buchsbaum(cx, field)
 
 
 def test_buchsbaum_examples():
