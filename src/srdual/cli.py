@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = success / property holds, 1 = property fails (witness on
-stdout), 2 = usage or parse error.
+stdout), 2 = usage error or bad input (unreadable or malformed file,
+unknown facet, bad parameters).  The six report commands print through
+`_emit`, as text or, with --json, as one JSON document.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import sys
 import time
 
 from . import __version__
-from .complexes import SimplicialComplex, alexander_dual_ideal
+from .complexes import SimplicialComplex, alexander_dual_ideal, mask_of
 from .dual_graph import UNBOUNDED, build_dual_graph, diameter, distance_pair
-from .errors import SrdualError
+from .errors import BadParams, SrdualError
 from .families import FAMILY_NAMES, TABLE1, FamilyId, build, expected_diameter
 from .fileio import export_graph, parse_facet_file, serialize_facet_file
 from .gluing import GlueSpec, glue
@@ -30,24 +32,20 @@ def _read_complex(path: str, letters: bool) -> SimplicialComplex:
 def _lookup_facet(cx: SimplicialComplex, token: str) -> int:
     """Resolve a facet given as letters ('ABC') or space-free name list."""
     names = {cx.vertex_name(v): v for v in range(cx.n)}
-    if all(c in names for c in token):
-        verts = [names[c] for c in token]
-    else:
-        verts = [names[t] for t in token.split(",") if t]
-    mask = 0
-    for v in verts:
-        mask |= 1 << v
+    parts = token if all(c in names for c in token) else token.split(",")
+    verts = [names.get(p) for p in parts if p]
+    mask = None if None in verts else mask_of(verts)
     if mask not in cx.facets:
         raise SrdualError("not a facet: %s" % token)
     return mask
 
 
-def _emit(args, payload: dict, text_lines: list[str]):
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
-    else:
-        for ln in text_lines:
-            print(ln)
+def _emit(args, payload: dict, lines: list[str]):
+    """Print a report: its text lines, or with --json its payload."""
+    if args.json:
+        lines = [json.dumps(payload, indent=2)]
+    for ln in lines:
+        print(ln)
 
 
 def _cmd_check(args) -> int:
@@ -58,14 +56,11 @@ def _cmd_check(args) -> int:
         holds = cx.is_pure
     elif prop == "connected":
         holds = connected_components(cx) == 1
-    elif prop == "locally-connected":
-        v = is_locally_connected(cx)
-        holds, witness = v.holds, v.witness
-    elif prop == "s2":
-        v = is_s2(cx)
-        holds, witness = v.holds, v.witness
-    else:  # buchsbaum
+    elif prop == "buchsbaum":
         holds = is_buchsbaum(cx, field=args.field)
+    else:  # locally-connected or s2: a verdict with a witness
+        v = (is_s2 if prop == "s2" else is_locally_connected)(cx)
+        holds, witness = v.holds, v.witness
     lines = ["%s: %s" % (prop, "holds" if holds else "FAILS")]
     payload = {"property": prop, "holds": holds}
     if witness is not None and not holds:
@@ -80,28 +75,23 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_diameter(args) -> int:
+    if args.path and not args.pair:
+        raise BadParams("--path needs --pair")
     cx = _read_complex(args.file, args.letters)
     g = build_dual_graph(cx)
     if args.pair:
-        a = _lookup_facet(cx, args.pair[0])
-        b = _lookup_facet(cx, args.pair[1])
-        path = None
-        if args.path:
-            dist, path = distance_pair(g, a, b, want_path=True)
-        else:
-            dist = distance_pair(g, a, b)
-        lines = ["distance: %s" % ("unbounded" if dist is UNBOUNDED else dist)]
-        payload = {"distance": None if dist is UNBOUNDED else dist}
-        if path is not None:
-            labels = [cx.facet_name(f) for f in path]
-            lines.append("path: " + " -- ".join(labels))
-            payload["path"] = labels
-        _emit(args, payload, lines)
-        return 0 if dist is not UNBOUNDED else 1
-    diam = diameter(g)
-    lines = ["diameter: %s" % ("unbounded" if diam is UNBOUNDED else diam)]
-    _emit(args, {"diameter": None if diam is UNBOUNDED else diam}, lines)
-    return 0 if diam is not UNBOUNDED else 1
+        a, b = (_lookup_facet(cx, token) for token in args.pair)
+        key, (dist, path) = "distance", distance_pair(g, a, b, want_path=True)
+    else:
+        key, dist, path = "diameter", diameter(g), None
+    lines = ["%s: %s" % (key, "unbounded" if dist is UNBOUNDED else dist)]
+    payload = {key: None if dist is UNBOUNDED else dist}
+    if args.path and path is not None:
+        labels = [cx.facet_name(f) for f in path]
+        lines.append("path: " + " -- ".join(labels))
+        payload["path"] = labels
+    _emit(args, payload, lines)
+    return 0 if dist is not UNBOUNDED else 1
 
 
 def _cmd_dual_graph(args) -> int:
@@ -184,7 +174,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify_table(args) -> int:
     t0 = time.monotonic()
     ok = True
-    report = []
+    report, lines = [], []
     for d, n in TABLE1:
         fam = FamilyId("table1_witness", d=d, n=n)
         want = expected_diameter(fam)
@@ -193,19 +183,14 @@ def _cmd_verify_table(args) -> int:
         s2 = is_s2(cx).holds
         cell_ok = got == want and s2 and cx.n == n and cx.d == d
         ok &= cell_ok
-        line = "cell (%d,%2d): diameter %s (expected %s), s2=%s  [%s]" % (
-            d, n, got, want, s2, "ok" if cell_ok else "FAIL")
+        lines.append("cell (%d,%2d): diameter %s (expected %s), s2=%s  [%s]" % (
+            d, n, got, want, s2, "ok" if cell_ok else "FAIL"))
         report.append({"d": d, "n": n, "diameter": got, "expected": want,
                        "s2": s2, "ok": cell_ok})
-        if not getattr(args, "json", False):
-            print(line)
     elapsed = time.monotonic() - t0
-    if getattr(args, "json", False):
-        print(json.dumps({"cells": report, "ok": ok, "elapsed": elapsed},
-                         indent=2))
-    else:
-        print("verify-table: %s (%d cells, %.1f s)" % (
-            "all ok" if ok else "FAILURES", len(TABLE1), elapsed))
+    lines.append("verify-table: %s (%d cells, %.1f s)" % (
+        "all ok" if ok else "FAILURES", len(TABLE1), elapsed))
+    _emit(args, {"cells": report, "ok": ok, "elapsed": elapsed}, lines)
     return 0 if ok else 1
 
 
@@ -213,7 +198,6 @@ def _add_file_arg(p):
     p.add_argument("file", help="facet file")
     p.add_argument("--letters", action="store_true",
                    help="treat each character of a token as a vertex")
-    p.add_argument("--json", action="store_true", help="JSON output envelope")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--letters", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--identify", required=True,
                    help="comma list b=a mapping right vertices to left")
     p.add_argument("--level", type=int, default=2,
@@ -277,31 +260,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-nodes", type=int)
     p.add_argument("--budget-seconds", type=float)
     p.add_argument("--checkpoint", help="resumable checkpoint file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search_mu)
 
     p = sub.add_parser("bounds", help="all applicable upper-bound formulas")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("verify-table", help="rebuild every table cell witness")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify_table)
 
+    for name in ("check", "diameter", "alexander-dual", "search-mu", "bounds",
+                 "verify-table"):
+        sub.choices[name].add_argument("--json", action="store_true",
+                                       help="JSON output envelope")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = ap.parse_args(argv)
         return args.func(args)
-    except SrdualError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SrdualError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -1,7 +1,8 @@
 """Named fixed complexes and parametric gluing families, in one table.
 
-Each family is one row of `_FAMILIES`: its parameter check, its builder
-and the diameter the paper states for it.  Facet lists of the fixed
+Each family is one row of `_FAMILIES`: the `FamilyId` fields it reads,
+its parameter check, its builder and the diameter the paper states for
+it; setting any other field is an error.  Facet lists of the fixed
 figures are letter strings (A -> 0, B -> 1, ...).  Every build can
 self-check its expected diameter and (S2) verdict; the search hot path
 turns that off.
@@ -126,6 +127,7 @@ def _witness(d, base):
 
 
 class _Family(NamedTuple):
+    fields: str  # the FamilyId fields it reads, of "kjdn"
     params: Callable  # FamilyId -> its checked arguments; raises BadParams
     build: Callable  # arguments -> SimplicialComplex
     diameter: Callable  # arguments -> the stated diameter
@@ -133,20 +135,21 @@ class _Family(NamedTuple):
 
 _FAMILIES = {
     **dict.fromkeys(_FIGURES, _Family(
-        lambda fam: (fam.name,), _figure, lambda name: _FIGURES[name][1])),
-    "path2": _Family(_path_n, _path, lambda n: n - 2),
+        "", lambda fam: (fam.name,), _figure, lambda name: _FIGURES[name][1])),
+    "path2": _Family("n", _path_n, _path, lambda n: n - 2),
     "glued_d4": _Family(
-        _k_j(0, 0), lambda k, j: _chain([_block("dim4", "ABCD", "EFGH")] * k, j),
+        "kj", _k_j(0, 0),
+        lambda k, j: _chain([_block("dim4", "ABCD", "EFGH")] * k, j),
         lambda k, j: 6 * k + j),
     "glued_d3": _Family(
-        _k_j(0, 0), lambda k, j: _chain(_d3_blocks(k), j),
+        "kj", _k_j(0, 0), lambda k, j: _chain(_d3_blocks(k), j),
         lambda k, j: 10 * k - 1 + j),
     "glued_d3_g0": _Family(
-        _k_j(4),
+        "kj", _k_j(4),
         lambda k, j: _chain([_block("fig_a4", "DEH", "DEH")] + _d3_blocks(k), j - 4),
         lambda k, j: 10 * k + j + 1),
     "table1_witness": _Family(
-        _cell, _witness, lambda d, base: expected_diameter(base)),
+        "dn", _cell, _witness, lambda d, base: expected_diameter(base)),
 }
 
 FAMILY_NAMES = tuple(_FAMILIES)
@@ -173,6 +176,10 @@ def _lookup(fam):
     row = _FAMILIES.get(fam.name)
     if row is None:
         raise UnknownFamily(fam.name)
+    unread = [key for key in "kjdn"
+              if getattr(fam, key) is not None and key not in row.fields]
+    if unread:
+        raise BadParams("%s takes no %s" % (fam.name, ", ".join(unread)))
     return row, row.params(fam)
 
 

@@ -467,7 +467,7 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
     budget = budget or SearchBudget()
     max_nodes, max_seconds = budget.max_nodes, budget.max_seconds
     if (max_nodes is not None and max_nodes < 0
-            or max_seconds is not None and max_seconds < 0):
+            or max_seconds is not None and not max_seconds >= 0):  # NaN too
         raise BadParams("search budgets must be >= 0")
     t_start = time.monotonic()
     leaves = _Leaves(d, n)

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from srdual.cli import main
+from srdual.cli import build_parser, main
 
 
 def _write(tmp_path, name, text):
@@ -62,6 +63,28 @@ def test_diameter_and_pair(a2_file, capsys):
     assert "distance: 5" in out and "ABC" in out and "DEF" in out
 
 
+def test_diameter_pair_path_json(a2_file, capsys):
+    assert main(["diameter", a2_file, "--letters",
+                 "--pair", "ABC", "DEF", "--path", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["distance"] == 5 and len(doc["path"]) == 6
+    assert doc["path"][0] == "ABC" and doc["path"][-1] == "DEF"
+
+
+def test_bad_input_exit_code(a2_file, tmp_path, capsys):
+    named = _write(tmp_path, "named.txt", "x1 x2 x3\nx2 x3 x4\n")
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xff\xfeABC\n")  # not UTF-8
+    for argv in (["diameter", a2_file, "--letters", "--pair", "ABC", "XYZ"],
+                 ["diameter", named, "--pair", "x1,x9", "x2,x3,x4"],
+                 ["diameter", a2_file, "--letters", "--path"],
+                 ["check", str(bom), "--property", "pure"],
+                 ["construct", "fig_a2", "--k", "7", "-o", "-"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_diameter_disconnected_exit_code(tmp_path, capsys):
     f = _write(tmp_path, "disc.txt", "ABC\nDEF\n")
     assert main(["diameter", f, "--letters"]) == 1
@@ -117,10 +140,39 @@ def test_bounds_output(capsys):
     assert "best: 5" in capsys.readouterr().out
 
 
+def test_bounds_json(capsys):
+    assert main(["bounds", "--d", "3", "--n", "9", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["d"] == 3 and doc["n"] == 9 and doc["best"] == 8
+    assert doc["best"] == min(doc["bounds"].values())
+
+
 def test_verify_table(capsys):
     assert main(["verify-table"]) == 0
     out = capsys.readouterr().out
     assert out.count("[ok]") == 13 and "all ok" in out
+
+
+def test_verify_table_json(capsys):
+    assert main(["verify-table", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["cells"]) == 13 and doc["ok"] is True
+    assert all(cell["ok"] for cell in doc["cells"])
+
+
+def test_json_only_on_report_commands(a2_file, capsys):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    with_json = {name for name, p in sub.choices.items()
+                 if any(a.dest == "json" for a in p._actions)}
+    assert with_json == {"check", "diameter", "alexander-dual", "search-mu",
+                         "bounds", "verify-table"}
+    for argv in (["dual-graph", a2_file, "--letters", "--format", "dot"],
+                 ["glue", a2_file, a2_file, "--identify", "A=A"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv + ["--json"])
+        assert ei.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 def test_json_envelope(a2_file, capsys):
@@ -136,6 +188,7 @@ def test_search_mu_bad_input_exit_code(tmp_path, capsys):
     no_incumbent = _write(tmp_path, "all.txt", "mu-search-v1\nd=2 n=5\n"
                           + "".join("done %d\n" % t for t in range(8)))
     for extra in (["--checkpoint", ck], ["--budget-nodes", "-1"],
-                  ["--checkpoint", no_incumbent]):
+                  ["--checkpoint", no_incumbent],
+                  ["--budget-seconds", "nan"]):
         assert main(["search-mu", "--d", "2", "--n", "5"] + extra) == 2
         assert capsys.readouterr().err.startswith("error: ")

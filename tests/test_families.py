@@ -84,6 +84,18 @@ def test_unknown_family_and_bad_params():
         build(FamilyId("table1_witness", d=5, n=11))
 
 
+@pytest.mark.parametrize("fam", [FamilyId("fig_a2", k=7),
+                                 FamilyId("path2", n=6, k=2),
+                                 FamilyId("glued_d4", k=1, n=3),
+                                 FamilyId("table1_witness", d=3, n=7, j=1)])
+def test_unread_fields_are_rejected(fam):
+    # each family names the fields it reads; any other one is an error,
+    # not silently dropped
+    for f in (build, expected_diameter):
+        with pytest.raises(BadParams, match="takes no"):
+            f(fam)
+
+
 def test_family_id_str():
     assert str(FamilyId("glued_d4", k=2, j=1)) == "glued_d4(k=2, j=1)"
     assert str(FamilyId("dim4")) == "dim4"

@@ -565,7 +565,8 @@ def test_checkpoint_waits_for_an_incumbent(tmp_path):
 
 
 @pytest.mark.parametrize("budget", [SearchBudget(max_nodes=-1),
-                                    SearchBudget(max_seconds=-0.5)])
+                                    SearchBudget(max_seconds=-0.5),
+                                    SearchBudget(max_seconds=float("nan"))])
 def test_negative_budget_is_rejected(budget):
     with pytest.raises(BadParams):
         enumerate_mu(2, 5, budget=budget)
