@@ -25,8 +25,12 @@ from .serre import is_buchsbaum, is_locally_connected, is_s2, connected_componen
 
 
 def _read_complex(path: str, letters: bool) -> SimplicialComplex:
-    with open(path) as fh:
-        return parse_facet_file(fh.read(), letters=letters)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise BadParams("%s: not UTF-8 (byte %d)" % (path, exc.start)) from None
+    return parse_facet_file(text, letters=letters)
 
 
 def _lookup_facet(cx: SimplicialComplex, token: str) -> int:
@@ -49,15 +53,17 @@ def _emit(args, payload: dict, lines: list[str]):
 
 
 def _cmd_check(args) -> int:
-    cx = _read_complex(args.file, args.letters)
     prop = args.property
+    if args.field is not None and prop != "buchsbaum":
+        raise BadParams("--field applies to --property buchsbaum only")
+    cx = _read_complex(args.file, args.letters)
     witness = None
     if prop == "pure":
         holds = cx.is_pure
     elif prop == "connected":
         holds = connected_components(cx) == 1
     elif prop == "buchsbaum":
-        holds = is_buchsbaum(cx, field=args.field)
+        holds = is_buchsbaum(cx, field=args.field or 0)
     else:  # locally-connected or s2: a verdict with a witness
         v = (is_s2 if prop == "s2" else is_locally_connected)(cx)
         holds, witness = v.holds, v.witness
@@ -213,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", required=True,
                    choices=["pure", "connected", "locally-connected",
                             "s2", "buchsbaum"])
-    p.add_argument("--field", type=int, choices=[0, 2], default=0,
-                   help="coefficient field for buchsbaum (0 or 2)")
+    p.add_argument("--field", type=int, choices=[0, 2],
+                   help="coefficient field for buchsbaum (0 or 2; default 0)")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("diameter", help="dual-graph diameter or pair distance")
@@ -281,7 +287,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SrdualError, OSError, UnicodeDecodeError) as exc:
+    except (SrdualError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

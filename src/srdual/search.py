@@ -1,29 +1,51 @@
 """Upper-bound formulas and exhaustive search for the max diameter mu(d,n).
 
-A generator yields, in include-first DFS order, the sets of candidate
-facets (size-d vertex sets) that cover all n vertices and hold
-{0,...,d-1}; every complex has a relabeled copy holding that facet, so
-this isomorph rejection is free and sound.  One leaf evaluator per (d, n)
-keeps the incumbent and applies the leaf rules in order: connectivity,
-an eccentricity probe, (S2), the diameter, the proved bound, the
-tie-break.  (S2) of a connected leaf is one face-star test: for each face
-s with 1 <= |s| <= d-2, the chosen facets holding s must be connected
-(those holding a (d-1)-face are pairwise adjacent).  That verdict
-depends only on the chosen part of the face star, so the evaluator
-memoises it per chosen part, for face stars of at most 12 candidates
-only: the memo then holds at most 2^12 entries per face star, however
-long the run.  The diameter grows a ball around every chosen facet at
-once, as rows of one packed int, starting from the radius-1 balls (the
-facet and its chosen neighbours).  The chosen facets' indices are read
-off the leaf mask one byte at a time, through tables built once per
-(d, n).  Ties go to the smaller facet count, then vertex invariants read
-off the star masks, then the canonical form.  A flat loop over the tasks
-feeds the evaluator and checkpoints each finished task once there is
-an incumbent, so a checkpoint that marks tasks done always holds one; a
-checkpoint's incumbent re-enters through the evaluator.  A run is
-exhaustive exactly when no budget stopped it before a leaf; an
-exhaustive run always has a witness, since the complex of all
-candidates is a connected (S2) leaf.
+The leaves of the search are the sets of candidate facets (size-d vertex
+sets) that cover all n vertices and hold {0,...,d-1}; every complex has
+a relabeled copy holding that facet, so this isomorph rejection is free
+and sound.  leaf_count(d, n) gives their number in closed form, and an
+exhaustive run that visits another number raises ContractViolation.
+
+Leaves are visited in blocks.  A block holds the covering leaves that
+agree on all candidates but the last k (k = 10, or fewer on small
+cells); position p of a block includes the candidate m-k+j exactly when
+bit k-1-j of p is clear, so p = 0 includes all of them and positions
+run in the old include-first DFS order.  One 2^k-bit int then holds one
+bit per leaf.  A generator yields the block prefixes in DFS order, with
+the mask of their covering positions: the AND of per-vertex cover
+patterns over the vertices the prefix misses.  One evaluator per (d, n)
+keeps the incumbent and runs each block through one bit-sliced BFS:
+from candidate 0, which every leaf holds, for connectivity and the
+eccentricity probe (diameter <= 2 * eccentricity), and, once mu >= 1,
+from every candidate for mu levels, to drop the leaves of diameter below
+mu and those of diameter mu with more facets than the incumbent.  None
+of those could change the incumbent, since mu only rises and while it
+holds the incumbent's facet count only falls; their diameter is at most
+mu, so none could break a proved bound either.  The survivors go
+through the scalar rules in position order: the probe against the
+current mu, (S2), the diameter, the proved bound, the tie-break.
+
+(S2) of a connected leaf is one face-star test: for each face s with
+1 <= |s| <= d-2, the chosen facets holding s must be connected (those
+holding a (d-1)-face are pairwise adjacent).  That verdict depends only
+on the chosen part of the face star, so the evaluator memoises it per
+chosen part, for face stars of at most 12 candidates only: the memo then
+holds at most 2^12 entries per face star, however long the run.  The
+diameter grows a ball around every chosen facet at once, as rows of one
+packed int, starting from the radius-1 balls (the facet and its chosen
+neighbours).  The chosen facets' indices are read off the leaf mask one
+byte at a time, through tables built once per (d, n).  Ties go to the
+smaller facet count, then vertex invariants read off the star masks,
+then the canonical form.
+
+A flat loop over the tasks feeds the blocks to the evaluator, counts the
+covering positions, keeps only the lowest ones a node budget allows and
+reads the clock once per block.  It checkpoints each finished task once
+there is an incumbent, so a checkpoint that marks tasks done always
+holds one; a checkpoint's incumbent re-enters through the evaluator as a
+block of one position.  A run is exhaustive exactly when no budget
+stopped it before a leaf; an exhaustive run always has a witness, since
+the complex of all candidates is a connected (S2) leaf.
 """
 
 from __future__ import annotations
@@ -33,14 +55,14 @@ import re
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from math import comb
 from operator import and_, or_
 from typing import Optional
 
 from .complexes import SimplicialComplex, mask_of, star_masks
-from .errors import BadParams, BoundViolation
+from .errors import BadParams, BoundViolation, ContractViolation
 from .dual_graph import UNBOUNDED, bfs, build_dual_graph, diameter
 
 
@@ -256,6 +278,7 @@ class SearchResult:
 
 CHECKPOINT_VERSION = "mu-search-v1"
 _TASK_LEVELS = 3  # decisions fixed per task: 2^_TASK_LEVELS tasks
+_BLOCK_LEVELS = 10  # decisions a block varies: up to 2^_BLOCK_LEVELS leaves
 _DONE_LINE = re.compile(r"done (\d+)")
 _INCUMBENT_LINE = re.compile(r"incumbent (\d+)((?: [0-9a-f]+)*)")
 #: face stars with at most this many candidates memoise their (S2)
@@ -266,6 +289,11 @@ _MEMO_STAR_MAX = 12
 def _task_levels(d, n):
     """Candidates after the forced first facet whose choice a task fixes."""
     return min(_TASK_LEVELS, comb(n, d) - 1)
+
+
+def _block_levels(d, n):
+    """Candidates at the end of the order whose choice a block varies."""
+    return min(_BLOCK_LEVELS, comb(n, d) - 1 - _task_levels(d, n))
 
 
 def _read_checkpoint(path, d, n):
@@ -315,11 +343,62 @@ def _write_checkpoint(path, d, n, done, incumbent):
         raise
 
 
+def _sliced_bfs(nbrs, pres, start, cap):
+    """Bit-sliced BFS from node `start` in every leaf of a block at once.
+
+    Bit p of pres[i] says that leaf p holds node i, and nbrs[i] lists the
+    neighbours of node i; the search runs in the leaves that hold
+    `start`.  Returns `far`: far[r] is the mask of those leaves that hold
+    a node farther than r from `start` (or none that it reaches), for r
+    up to `cap` or until no leaf grows; later levels equal the last.
+    """
+    holds = pres[start]
+    todo = [p & holds for p in pres]  # leaves in which node i is unreached
+    todo[start] = 0
+    frontier = {start: holds}
+    far = [reduce(or_, todo)]
+    while far[-1] and len(far) <= cap:
+        reach: dict[int, int] = {}
+        for j, f in frontier.items():
+            for i in nbrs[j]:
+                reach[i] = reach.get(i, 0) | f
+        frontier = {}
+        for i, f in reach.items():
+            f &= todo[i]
+            if f:
+                todo[i] ^= f
+                frontier[i] = f
+        if not frontier:
+            break
+        far.append(reduce(or_, todo))
+    return far
+
+
+@cache
+def _slices(k):
+    """Position tables of a block that varies k candidates.
+
+    inc[j]: the positions that include the block's candidate j, those
+    with bit k-1-j clear; fewer[c]: the positions with fewer than c set
+    bits, that is with more than k-c block candidates; spread[p]: the
+    block candidates of position p as a mask, candidate j at bit j.
+    """
+    width = 1 << k
+    inc = tuple(sum(1 << p for p in range(width) if not p >> (k - 1 - j) & 1)
+                for j in range(k))
+    fewer = tuple(sum(1 << p for p in range(width) if p.bit_count() < c)
+                  for c in range(k + 2))
+    spread = tuple(sum(1 << j for j in range(k) if not p >> (k - 1 - j) & 1)
+                   for p in range(width))
+    return inc, fewer, spread
+
+
 class _Leaves:
     """The leaf rules of one mu(d,n) search and the incumbent they keep.
 
     Candidates are the size-d vertex sets in combinations order; a leaf
-    is the mask of the candidate indices it chooses.
+    is the mask of the candidate indices it chooses.  Leaves are offered
+    a block at a time.
     """
 
     def __init__(self, d, n):
@@ -328,12 +407,16 @@ class _Leaves:
         self.cands = tuple(mask_of(c) for c in combinations(range(n), d))
         m = len(self.cands)
         self.adj = build_dual_graph(SimplicialComplex(n, self.cands)).adjacency
+        self.nbrs = tuple(tuple(j for j in range(m) if a >> j & 1)
+                          for a in self.adj)
         self.star = star_masks(self.cands, n)  # candidate-index mask per vertex
         # the candidates holding each face s with 1 <= |s| <= d-2, and
-        # whether its verdicts go into the memo
-        face_stars = [reduce(and_, (self.star[v] for v in s))
-                      for k in range(1, d - 1)
-                      for s in combinations(range(n), k)]
+        # whether its verdicts go into the memo; the smallest face stars,
+        # whose verdicts the memo holds, are tested first
+        face_stars = sorted((reduce(and_, (self.star[v] for v in s))
+                             for k in range(1, d - 1)
+                             for s in combinations(range(n), k)),
+                            key=int.bit_count)
         self.face_stars = [(fs, fs.bit_count() <= _MEMO_STAR_MAX)
                            for fs in face_stars]
         # is the chosen part of a face star connected: sub -> verdict
@@ -351,19 +434,59 @@ class _Leaves:
         # the incumbent: diameter, witness, invariant pre-key, canonical key
         self.mu, self.witness, self.prekey, self.key = -1, None, None, None
 
-    def __call__(self, chosen):
-        """Offer one leaf to the incumbent and return its diameter.
+    def block(self, prefix, covers, k):
+        """Offer the covering leaves of one block to the incumbent.
 
-        None: the leaf is disconnected, fails (S2) or the probe rules it out.
+        The block's leaves choose the candidates below m - k as `prefix`
+        does; position p chooses the last k as _slices(k) says, and
+        `covers` is the mask of the positions to offer.  Only leaves that
+        could still change the incumbent reach the scalar rules, in
+        position order, so the incumbent ends as a leaf-by-leaf run
+        would leave it: mu only rises, and while it holds the
+        incumbent's facet count only falls.
         """
+        inc, fewer, spread = _slices(k)
+        nbrs = self.nbrs
+        m = len(nbrs)
+        base = m - k
+        pres = [covers if prefix >> i & 1 else 0 for i in range(base)]
+        pres += [covers & s for s in inc]
+        # candidate 0 is in every leaf: one BFS from it gives connectivity
+        # and the probe diameter <= 2 * eccentricity.  far0[r-1] holds the
+        # leaves of eccentricity >= r, and a leaf passes when
+        # 2 * eccentricity >= mu, since a leaf of diameter mu may tie
+        far0 = _sliced_bfs(nbrs, pres, 0, m)
+        last = len(far0) - 1
+        live = covers & ~far0[last]
+        mu = self.mu
+        if mu >= 1:
+            live &= far0[min((mu + 1) // 2 - 1, last)]
+            # drop the leaves of diameter < mu, and those of diameter mu
+            # with more facets than the incumbent
+            larger = fewer[max(0, min(k + 1, prefix.bit_count() + k
+                                       - self.prekey[0]))]
+            pres = [p & live for p in pres]
+            lo = hi = 0  # leaves of diameter > mu - 1, > mu
+            for s in range(m):
+                if pres[s]:
+                    far = _sliced_bfs(nbrs, pres, s, mu)
+                    lo |= far[min(mu - 1, len(far) - 1)]
+                    hi |= far[-1]
+                    if not live & ~(lo & (hi | ~larger)):
+                        break
+            live &= lo & (hi | ~larger)
+        while live:
+            b = live & -live
+            live ^= b
+            p = b.bit_length() - 1
+            r = (self.mu + 1) // 2
+            if r and not far0[min(r - 1, last)] >> p & 1:
+                continue
+            self._offer(prefix | spread[p] << base)
+
+    def _offer(self, chosen):
+        """Offer one connected leaf that passes the probe to the incumbent."""
         adj = self.adj
-        reached, ecc = bfs(adj, chosen & -chosen, chosen)
-        if reached != chosen:
-            return None
-        # probe: diameter <= 2 * any eccentricity; strict comparison keeps
-        # the set of tie candidates schedule-independent
-        if 2 * ecc < self.mu:
-            return None
         memo = self.memo
         for fs, keep in self.face_stars:
             sub = fs & chosen
@@ -375,7 +498,7 @@ class _Leaves:
                 if keep:
                     memo[sub] = ok
             if not ok:
-                return None
+                return
         idxs = ()
         rest = chosen
         for table in self.byte_idxs:
@@ -389,16 +512,16 @@ class _Leaves:
                 "diameter %d exceeds proved bound %d for d=%d n=%d: %r"
                 % (diam, self.best_bound, self.d, self.n, cx), cx)
         if diam < self.mu:
-            return diam
+            return
         # a tie keeps the minimal witness under (invariant pre-key,
         # canonical key); the pre-key starts with the facet count, and
         # the full canonicalization only runs inside the minimal
         # invariant class
         if diam == self.mu and size > self.prekey[0]:
-            return diam
+            return
         pk = _prekey([s & chosen for s in self.star], size)
         if diam == self.mu and pk > self.prekey:
-            return diam
+            return
         cx = SimplicialComplex(self.n, tuple(self.cands[i] for i in idxs))
         if diam > self.mu or pk < self.prekey:
             self.mu, self.witness, self.prekey, self.key = diam, cx, pk, None
@@ -408,37 +531,49 @@ class _Leaves:
             key = canonical_form(cx).facets
             if key < self.key:
                 self.witness, self.key = cx, key
-        return diam
 
     def resume(self, mu, facets):
         """Offer a checkpoint's incumbent to a fresh evaluator, as a leaf.
 
-        It must be a leaf, pass every filter and have diameter mu.
+        It must be a leaf, holding candidate 0, pass every rule and have
+        diameter mu; it is offered as a block of one position.
         """
         bits = {c: 1 << i for i, c in enumerate(self.cands)}
         chosen = reduce(or_, (bits.get(f, 0) for f in facets), 0)
-        if (chosen.bit_count() != len(facets)
-                or reduce(or_, facets, 0) != (1 << self.n) - 1
-                or self(chosen) != mu):
+        if (chosen.bit_count() == len(facets) and chosen & 1
+                and reduce(or_, facets, 0) == (1 << self.n) - 1):
+            self.block(chosen, 1, 0)
+        if self.witness is None or self.mu != mu:
             raise BadParams("checkpoint incumbent is not a connected (S2) "
-                            "cover by distinct %d-sets of diameter %d"
-                            % (self.d, mu))
+                            "cover by distinct %d-sets, holding the first, "
+                            "of diameter %d" % (self.d, mu))
 
 
-def _covering_masks(cands, levels, task):
-    """The leaves of one task in include-first DFS order.
+def _blocks(cands, levels, task, k):
+    """The blocks of one task in include-first DFS order.
 
     A leaf is a mask of candidate indices whose candidates cover every
     vertex.  Candidate 0, {0..d-1}, is in every leaf; bit l of `task`
-    says whether candidate 1 + l is.  A branch ends as soon as the
-    candidates still open cannot cover the vertices still missing.
+    says whether candidate 1 + l is.  A block fixes the candidates below
+    m - k as the mask `prefix`; its position p includes candidate
+    m - k + j when bit k-1-j of p is clear, so positions run in the same
+    include-first order.  Yields (prefix, covers), covers the nonzero
+    mask of positions whose leaves cover every vertex.  A branch ends as
+    soon as the candidates still open cannot cover the vertices still
+    missing.
     """
     m = len(cands)
+    base = m - k
     # suffix_cover[i] = union of candidate vertex masks from index i on
     suffix_cover = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | cands[i]
     full = suffix_cover[0]
+    # hits[v]: the positions whose block candidates hold vertex v
+    inc = _slices(k)[0]
+    hits = [reduce(or_, (s for s, c in zip(inc, cands[base:]) if c >> v & 1), 0)
+            for v in range(full.bit_length())]
+    every = (1 << (1 << k)) - 1
     chosen, covered = 1, cands[0]
     for lvl in range(levels):
         if task >> lvl & 1:
@@ -447,12 +582,32 @@ def _covering_masks(cands, levels, task):
     stack = [(1 + levels, chosen, covered)]
     while stack:
         idx, chosen, covered = stack.pop()
-        if idx == m:
-            if covered == full:
-                yield chosen
+        if idx == base:
+            covers, missing = every, full & ~covered
+            while missing and covers:
+                b = missing & -missing
+                covers &= hits[b.bit_length() - 1]
+                missing ^= b
+            if covers:
+                yield chosen, covers
         elif covered | suffix_cover[idx] == full:
             stack.append((idx + 1, chosen, covered))
             stack.append((idx + 1, chosen | 1 << idx, covered | cands[idx]))
+
+
+def leaf_count(d: int, n: int) -> int:
+    """The number of leaves of enumerate_mu(d, n).
+
+    The leaves are the sets of d-sets that hold {0..d-1} and cover all n
+    vertices.  Inclusion-exclusion over the n - d vertices outside that
+    facet: the sets that miss k given ones choose freely among the other
+    C(n-k, d) - 1 candidates.
+    """
+    if not 2 <= d < n:
+        raise BadParams("need 2 <= d < n")
+    r = n - d
+    return sum((-1) ** k * comb(r, k) * 2 ** (comb(n - k, d) - 1)
+               for k in range(r + 1))
 
 
 def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
@@ -472,30 +627,45 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
     t_start = time.monotonic()
     leaves = _Leaves(d, n)
     levels = _task_levels(d, n)
+    k = _block_levels(d, n)
     done: set[int] = set()
     if checkpoint:
         done, (ck_mu, ck_facets) = _read_checkpoint(checkpoint, d, n)
         if ck_facets is not None:
             leaves.resume(ck_mu, ck_facets)
+    resumed = bool(done)
 
     nodes, stopped = 0, False
     for t in range(1 << levels):
         if t in done:
             continue
-        for chosen in _covering_masks(leaves.cands, levels, t):
+        for prefix, covers in _blocks(leaves.cands, levels, t, k):
             if (max_nodes is not None and nodes >= max_nodes
-                    or max_seconds is not None and nodes % 4096 == 0
+                    or max_seconds is not None
                     and time.monotonic() - t_start > max_seconds):
                 stopped = True
                 break
-            nodes += 1
-            leaves(chosen)
+            if max_nodes is not None and nodes + covers.bit_count() > max_nodes:
+                # keep the first positions the budget allows
+                keep = 0
+                for _ in range(max_nodes - nodes):
+                    keep |= covers & -covers
+                    covers &= covers - 1
+                covers, stopped = keep, True
+            nodes += covers.bit_count()
+            leaves.block(prefix, covers, k)
+            if stopped:
+                break
         if stopped:
             break
         done.add(t)
         if checkpoint and leaves.witness is not None:
             _write_checkpoint(checkpoint, d, n, done,
                               (leaves.mu, leaves.witness.facets))
+    if not stopped and not resumed and nodes != leaf_count(d, n):
+        raise ContractViolation("exhaustive mu(%d,%d) search visited %d "
+                                "leaves, not %d" % (d, n, nodes,
+                                                    leaf_count(d, n)))
 
     witness = leaves.witness
     if witness is not None:

@@ -12,6 +12,7 @@ from importlib import resources
 from srdual import (
     GlueSpec,
     SearchBudget,
+    bounds,
     build,
     build_dual_graph,
     diameter,
@@ -23,6 +24,7 @@ from srdual import (
     verify_bounds,
 )
 from srdual.families import FamilyId, corpus
+from srdual.search import leaf_count
 from srdual.serre import connected_components
 
 from conftest import BOUND_CHECKS, random_pure_complex, track
@@ -58,9 +60,13 @@ def test_criterion_2_mu_2n_exhaustive():
           "each cell < 60 s")
 
 
+def _golden(name):
+    return json.loads(resources.files("srdual.data").joinpath(name)
+                      .read_text())
+
+
 def test_criterion_3_mu_3_6_arbitration():
-    golden = json.loads(resources.files("srdual.data")
-                        .joinpath("mu_3_6_golden.json").read_text())
+    golden = _golden("mu_3_6_golden.json")
     t0 = time.monotonic()
     res = enumerate_mu(3, 6)
     elapsed = time.monotonic() - t0
@@ -170,3 +176,19 @@ def test_criterion_9_desk_scale_limits_documented():
           "exhaustive mu(3,n>=8)/mu(4,8) and the upper-bound proofs are "
           "substituted by witness + invariant suites; budgeted mu(3,8) "
           "probe returned mu >= %d with exhaustive=false" % res.mu)
+
+
+def test_criterion_10_mu_5_7_golden_record():
+    golden = _golden("mu_5_7_golden.json")
+    t0 = time.monotonic()
+    res = enumerate_mu(5, 7)
+    elapsed = time.monotonic() - t0
+    assert res.exhaustive and elapsed < 600
+    assert res.mu == golden["mu"] == bounds(5, 7).best == 2
+    assert list(res.witness.facets) == golden["witness_facet_masks"]
+    assert res.nodes_explored == golden["nodes_explored"] == leaf_count(5, 7)
+    assert golden["exhaustive"] and golden["run_log"]
+    track(res.witness, res.mu)
+    print("PASS criterion 10: mu(5,7) = %d exhaustively (%d leaves, %.1f s "
+          "< 600 s), matching the shipped golden record and the proved "
+          "bound" % (res.mu, res.nodes_explored, elapsed))

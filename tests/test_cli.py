@@ -85,6 +85,24 @@ def test_bad_input_exit_code(a2_file, tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def test_field_without_buchsbaum_exit_code(a2_file, capsys):
+    assert main(["check", a2_file, "--letters", "--property", "s2",
+                 "--field", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--field" in captured.err
+
+
+def test_non_utf8_input_names_the_file(tmp_path, capsys):
+    good = _write(tmp_path, "good.txt", "ABC\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"AB\xffC\n")
+    assert main(["glue", good, str(bad), "--letters",
+                 "--identify", "A=A"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s: not UTF-8" % bad)
+
+
 def test_diameter_disconnected_exit_code(tmp_path, capsys):
     f = _write(tmp_path, "disc.txt", "ABC\nDEF\n")
     assert main(["diameter", f, "--letters"]) == 1

@@ -1,6 +1,9 @@
 import os
 import random
+from dataclasses import replace
+from functools import reduce
 from itertools import chain, combinations, islice, permutations
+from operator import and_
 
 import pytest
 
@@ -264,7 +267,7 @@ def test_search_matches_brute_force(d, n, leaves):
         if is_s2(cx).holds:
             mu = max(mu, diameter(build_dual_graph(cx)))
     res = enumerate_mu(d, n)
-    assert count == leaves == res.nodes_explored
+    assert count == leaves == res.nodes_explored == search.leaf_count(d, n)
     assert res.mu == mu and res.exhaustive
 
 
@@ -332,12 +335,25 @@ def _reference_leaf_diameter(adj, idxs, chosen, m, col):
     return steps
 
 
-class _ReferenceLeaves(search._Leaves):
-    """The leaf evaluator before the face-star memo and the byte tables.
+class _ReferenceLeaves:
+    """A leaf-by-leaf evaluator with the search's leaf rules, kept as its oracle.
 
-    One BFS per face star, vertices_of on every leaf and the radius-0
-    packed diameter; kept as the oracle of search._Leaves.
+    No blocks, no memo and no byte tables: one BFS for connectivity, one
+    BFS per face star, vertices_of on every leaf and the radius-0 packed
+    diameter.
     """
+
+    def __init__(self, d, n):
+        self.d, self.n = d, n
+        self.cands = tuple(mask_of(c) for c in combinations(range(n), d))
+        self.adj = build_dual_graph(
+            SimplicialComplex(n, self.cands)).adjacency
+        self.star = star_masks(self.cands, n)
+        self.face_stars = [reduce(and_, (self.star[v] for v in s))
+                           for k in range(1, d - 1)
+                           for s in combinations(range(n), k)]
+        self.best_bound = bounds(d, n).best
+        self.mu, self.witness, self.prekey, self.key = -1, None, None, None
 
     def __call__(self, chosen):
         adj = self.adj
@@ -346,14 +362,15 @@ class _ReferenceLeaves(search._Leaves):
             return None
         if 2 * ecc < self.mu:
             return None
-        for fs, _ in self.face_stars:
+        for fs in self.face_stars:
             sub = fs & chosen
             if sub and bfs(adj, sub & -sub, sub)[0] != sub:
                 return None
         idxs = vertices_of(chosen)
         size = len(idxs)
-        diam = _reference_leaf_diameter(adj, idxs, chosen, len(self.cands),
-                                        self.cols[size])
+        m = len(self.cands)
+        col = sum(1 << (p * m) for p in range(size))
+        diam = _reference_leaf_diameter(adj, idxs, chosen, m, col)
         if diam > self.best_bound:
             cx = SimplicialComplex(self.n, tuple(self.cands[i] for i in idxs))
             raise search.BoundViolation(
@@ -378,33 +395,59 @@ class _ReferenceLeaves(search._Leaves):
         return diam
 
 
-def _leaf_stream(d, n, limit=None):
-    """The search's leaves of (d, n) in order, the first `limit` of them."""
+def _reference_leaves(d, n):
+    """Every leaf of (d, n) in search order, from the reference DFS."""
     cands = [mask_of(c) for c in combinations(range(n), d)]
     levels = search._task_levels(d, n)
-    return islice(chain.from_iterable(
-        search._covering_masks(cands, levels, t) for t in range(1 << levels)),
-        limit)
+    return chain.from_iterable(_reference_task_leaves(cands, levels, t)
+                               for t in range(1 << levels))
+
+
+def _block_ends(d, n, total):
+    """Leaf counts at the ends of the search's blocks, up to `total`."""
+    cands = search._Leaves(d, n).cands
+    levels, k = search._task_levels(d, n), search._block_levels(d, n)
+    ends, count = [], 0
+    for t in range(1 << levels):
+        for _, covers in search._blocks(cands, levels, t, k):
+            count += covers.bit_count()
+            if count > total:
+                return ends
+            ends.append(count)
+    return ends
 
 
 @pytest.mark.parametrize("d,n,limit", [(3, 5, None), (2, 6, None),
                                        (4, 6, None), (3, 7, 20000),
-                                       (4, 7, 20000)])
+                                       (4, 7, 20000), (4, 8, 2000)])
 def test_leaves_match_reference_evaluator(d, n, limit):
+    # a search cut after N leaves ends where the reference evaluator
+    # ends after the first N reference leaves: on every block boundary
+    # and at seeded random N
+    total = search.leaf_count(d, n) if limit is None else limit
+    rng = random.Random(d * 100 + n)
+    cuts = set(_block_ends(d, n, total))
+    cuts.update(rng.randint(0, total) for _ in range(4))
+    ref = _ReferenceLeaves(d, n)
+    want = {0: (-1, None)}
+    for count, chosen in enumerate(
+            islice(_reference_leaves(d, n), total), 1):
+        ref(chosen)
+        if count in cuts:
+            want[count] = (ref.mu, canonical_form(ref.witness).facets)
+    assert ref.witness is not None and set(want) >= cuts
+    for cut in sorted(cuts):
+        res = enumerate_mu(d, n, SearchBudget(max_nodes=cut))
+        got = res.mu, res.witness and res.witness.facets
+        assert got == want[cut], (d, n, cut)
+        assert res.nodes_explored == cut
+        assert res.exhaustive == (cut == search.leaf_count(d, n))
+    # no covering leaf has one facet, so candidate 0 on its own is
+    # offered to fresh evaluators as a block of one position
     fast, ref = search._Leaves(d, n), _ReferenceLeaves(d, n)
-    count = 0
-    for chosen in _leaf_stream(d, n, limit):
-        assert fast(chosen) == ref(chosen), (d, n, chosen)
-        count += 1
-    assert limit in (None, count) and ref.witness is not None
-    assert (fast.mu, fast.witness, fast.prekey, fast.key) == (
-        ref.mu, ref.witness, ref.prekey, ref.key)
-    # no covering leaf has one facet, so the one-facet masks are offered
-    # to fresh evaluators on their own
-    for i in range(len(fast.cands)):
-        fast, ref = search._Leaves(d, n), _ReferenceLeaves(d, n)
-        assert fast(1 << i) == ref(1 << i) == 0
-        assert (fast.mu, fast.witness) == (ref.mu, ref.witness)
+    fast.block(1, 1, 0)
+    assert ref(1) == fast.mu == 0
+    assert (fast.mu, fast.witness) == (ref.mu, ref.witness)
 
 
 def _memo_bound(leaves):
@@ -412,12 +455,24 @@ def _memo_bound(leaves):
     return sum(1 << fs.bit_count() for fs, keep in leaves.face_stars if keep)
 
 
+def _offer_blocks(d, n, limit=None):
+    """A fresh evaluator fed the search's blocks until `limit` leaves."""
+    leaves = search._Leaves(d, n)
+    levels, k = search._task_levels(d, n), search._block_levels(d, n)
+    count = 0
+    for t in range(1 << levels):
+        for prefix, covers in search._blocks(leaves.cands, levels, t, k):
+            if limit is not None and count >= limit:
+                return leaves
+            leaves.block(prefix, covers, k)
+            count += covers.bit_count()
+    return leaves
+
+
 def test_face_star_memo_is_bounded_and_per_evaluator():
     runs = []
     for d, n, limit in [(4, 8, 5000), (3, 6, None)]:
-        leaves = search._Leaves(d, n)
-        for chosen in _leaf_stream(d, n, limit):
-            leaves(chosen)
+        leaves = _offer_blocks(d, n, limit)
         assert len(leaves.memo) <= _memo_bound(leaves)
         runs.append(leaves)
     big, small = runs
@@ -457,6 +512,25 @@ def test_mu_4_6_runs_the_separator_check():
     track(res.witness, res.mu)
 
 
+def test_bound_gate_fires_inside_blocks(monkeypatch):
+    # with the bound of (2,6) lowered to 3, a leaf of diameter 4 must
+    # reach the gate: the block filter drops only diameters <= mu
+    real = search.bounds
+    monkeypatch.setattr(search, "bounds",
+                        lambda d, n: replace(real(d, n), best=3))
+    with pytest.raises(search.BoundViolation) as ei:
+        enumerate_mu(2, 6)
+    assert diameter(build_dual_graph(ei.value.complex_)) == 4
+
+
+def test_exhaustive_leaf_total_is_checked(monkeypatch):
+    monkeypatch.setattr(search, "leaf_count", lambda d, n: 428)
+    with pytest.raises(ContractViolation):
+        enumerate_mu(2, 5)  # 427 leaves
+    # a budgeted run is not held to the total
+    assert not enumerate_mu(2, 5, SearchBudget(max_nodes=426)).exhaustive
+
+
 def test_search_rejects_bad_params():
     with pytest.raises(BadParams):
         enumerate_mu(1, 5)
@@ -471,23 +545,22 @@ def test_exhaustive_means_no_budget_stopped_a_leaf(d, n, leaves):
 
 
 def _reference_task_leaves(cands, levels, task):
-    """The recursive include-first DFS the leaf generator replaced."""
+    """The recursive include-first DFS the block generator replaced."""
     m = len(cands)
     full = (1 << max(c.bit_length() for c in cands)) - 1
     suffix_cover = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix_cover[i] = suffix_cover[i + 1] | cands[i]
-    out = []
 
     def dfs(idx, chosen, covered):
         if idx == m:
             if covered == full:
-                out.append(chosen)
+                yield chosen
             return
         if covered | suffix_cover[idx] != full:
             return  # cannot cover the remaining vertices
-        dfs(idx + 1, chosen | (1 << idx), covered | cands[idx])
-        dfs(idx + 1, chosen, covered)
+        yield from dfs(idx + 1, chosen | (1 << idx), covered | cands[idx])
+        yield from dfs(idx + 1, chosen, covered)
 
     chosen = 1
     covered = cands[0]
@@ -495,21 +568,36 @@ def _reference_task_leaves(cands, levels, task):
         if task >> lvl & 1:
             chosen |= 1 << (1 + lvl)
             covered |= cands[1 + lvl]
-    dfs(1 + levels, chosen, covered)
-    return out
+    return dfs(1 + levels, chosen, covered)
+
+
+def _expand_blocks(cands, levels, task, k):
+    """A task's leaves read off its blocks: position p of a block includes
+    candidate m - k + j exactly when bit k-1-j of p is clear."""
+    base = len(cands) - k
+    for prefix, covers in search._blocks(cands, levels, task, k):
+        assert covers and prefix < 1 << base and prefix & 1
+        assert covers < 1 << (1 << k)
+        for p in range(1 << k):
+            if covers >> p & 1:
+                yield prefix | sum(1 << (base + j) for j in range(k)
+                                   if not p >> (k - 1 - j) & 1)
 
 
 @pytest.mark.parametrize("d,n,leaves", [(2, 3, 3), (3, 5, 497),
                                          (2, 6, 14513), (4, 6, 16353)])
 def test_leaf_generator_keeps_the_dfs_order(d, n, leaves):
+    # the search's blocks, and blocks of two levels, expand to the
+    # reference leaves in order
     cands = [mask_of(c) for c in combinations(range(n), d)]
     levels = search._task_levels(d, n)
-    total = 0
-    for task in range(1 << levels):
-        got = list(search._covering_masks(cands, levels, task))
-        assert got == _reference_task_leaves(cands, levels, task), task
-        total += len(got)
-    assert total == leaves
+    for k in sorted({search._block_levels(d, n), min(2, len(cands) - 1 - levels)}):
+        total = 0
+        for task in range(1 << levels):
+            got = list(_expand_blocks(cands, levels, task, k))
+            assert got == list(_reference_task_leaves(cands, levels, task)), task
+            total += len(got)
+        assert total == leaves == search.leaf_count(d, n)
 
 
 def _checkpoint(tmp_path, *lines):
@@ -530,8 +618,9 @@ def _checkpoint(tmp_path, *lines):
     ("d=2 n=5", "incumbent 3 5 a 14 1c"),  # 1c = {2,3,4} is no 2-set
     ("d=2 n=5", "incumbent 3 5 5 a 14 18"),  # a facet twice
     ("d=2 n=5", "incumbent 1 3 c 18"),  # {0,1} is cut off
-    ("d=2 n=5", "incumbent 9 5 a 14 18"),  # a path of diameter 3
-    ("d=2 n=5", "incumbent 2 5 a 14 18"),
+    ("d=2 n=5", "incumbent 9 3 6 c 18"),  # a path of diameter 3
+    ("d=2 n=5", "incumbent 2 3 6 c 18"),
+    ("d=2 n=5", "incumbent 2 5 6 c 18"),  # diameter 2, but no {0,1}
 ])
 def test_bad_checkpoint_is_rejected(tmp_path, lines):
     with pytest.raises(BadParams):
@@ -554,7 +643,7 @@ def test_exhaustive_run_without_witness_is_rejected(tmp_path, d, n, tasks):
 def test_checkpoint_waits_for_an_incumbent(tmp_path):
     # task 0 of (2,3) leaves out both other candidates: it has no leaves,
     # so it finishes with no incumbent and no checkpoint is written
-    assert list(search._covering_masks(search._Leaves(2, 3).cands, 2, 0)) == []
+    assert list(search._blocks(search._Leaves(2, 3).cands, 2, 0, 0)) == []
     ck = str(tmp_path / "ck.txt")
     stopped = enumerate_mu(2, 3, budget=SearchBudget(max_nodes=0),
                            checkpoint=ck)
