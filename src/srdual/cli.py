@@ -29,7 +29,8 @@ def _read_complex(path: str, letters: bool) -> SimplicialComplex:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        raise BadParams("%s: not UTF-8 (byte %d)" % (path, exc.start)) from None
+        raise BadParams("%s: not UTF-8 (byte %d)"
+                        % (path, exc.start)) from None
     return parse_facet_file(text, letters=letters)
 
 

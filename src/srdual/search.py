@@ -570,8 +570,8 @@ def _blocks(cands, levels, task, k):
         suffix_cover[i] = suffix_cover[i + 1] | cands[i]
     full = suffix_cover[0]
     # hits[v]: the positions whose block candidates hold vertex v
-    inc = _slices(k)[0]
-    hits = [reduce(or_, (s for s, c in zip(inc, cands[base:]) if c >> v & 1), 0)
+    inc, block_cands = _slices(k)[0], cands[base:]
+    hits = [reduce(or_, (s for s, c in zip(inc, block_cands) if c >> v & 1), 0)
             for v in range(full.bit_length())]
     every = (1 << (1 << k)) - 1
     chosen, covered = 1, cands[0]
@@ -640,15 +640,15 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
         if t in done:
             continue
         for prefix, covers in _blocks(leaves.cands, levels, t, k):
-            if (max_nodes is not None and nodes >= max_nodes
-                    or max_seconds is not None
+            left = None if max_nodes is None else max_nodes - nodes
+            if (left == 0 or max_seconds is not None
                     and time.monotonic() - t_start > max_seconds):
                 stopped = True
                 break
-            if max_nodes is not None and nodes + covers.bit_count() > max_nodes:
+            if left is not None and covers.bit_count() > left:
                 # keep the first positions the budget allows
                 keep = 0
-                for _ in range(max_nodes - nodes):
+                for _ in range(left):
                     keep |= covers & -covers
                     covers &= covers - 1
                 covers, stopped = keep, True
@@ -662,7 +662,7 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
         if checkpoint and leaves.witness is not None:
             _write_checkpoint(checkpoint, d, n, done,
                               (leaves.mu, leaves.witness.facets))
-    if not stopped and not resumed and nodes != leaf_count(d, n):
+    if not (stopped or resumed) and nodes != leaf_count(d, n):
         raise ContractViolation("exhaustive mu(%d,%d) search visited %d "
                                 "leaves, not %d" % (d, n, nodes,
                                                     leaf_count(d, n)))

@@ -186,9 +186,12 @@ def test_enumerate_mu_tiny_cells():
 def test_budget_truncates_search():
     res = enumerate_mu(3, 7, budget=SearchBudget(max_nodes=500))
     assert not res.exhaustive
-    assert res.nodes_explored <= 500 + 8  # per-task slop
+    assert res.nodes_explored == 500
     if res.witness is not None:
         track(res.witness, res.mu)
+    # the clock is read before every block, the first one included
+    timed = enumerate_mu(2, 6, budget=SearchBudget(max_seconds=0))
+    assert not timed.exhaustive and timed.nodes_explored == 0
 
 
 def test_checkpoint_resume(tmp_path):
@@ -336,7 +339,7 @@ def _reference_leaf_diameter(adj, idxs, chosen, m, col):
 
 
 class _ReferenceLeaves:
-    """A leaf-by-leaf evaluator with the search's leaf rules, kept as its oracle.
+    """A leaf-by-leaf evaluator with the search's rules, kept as its oracle.
 
     No blocks, no memo and no byte tables: one BFS for connectivity, one
     BFS per face star, vertices_of on every leaf and the radius-0 packed
@@ -591,11 +594,13 @@ def test_leaf_generator_keeps_the_dfs_order(d, n, leaves):
     # reference leaves in order
     cands = [mask_of(c) for c in combinations(range(n), d)]
     levels = search._task_levels(d, n)
-    for k in sorted({search._block_levels(d, n), min(2, len(cands) - 1 - levels)}):
+    widths = {search._block_levels(d, n), min(2, len(cands) - 1 - levels)}
+    for k in sorted(widths):
         total = 0
         for task in range(1 << levels):
             got = list(_expand_blocks(cands, levels, task, k))
-            assert got == list(_reference_task_leaves(cands, levels, task)), task
+            want = list(_reference_task_leaves(cands, levels, task))
+            assert got == want, (task, k)
             total += len(got)
         assert total == leaves == search.leaf_count(d, n)
 
