@@ -231,15 +231,6 @@ class MonomialIdeal:
     n: int
     generators: tuple[int, ...]
 
-    @property
-    def is_unit(self) -> bool:
-        """Degenerate case: the empty support (constant generator)."""
-        return 0 in self.generators
-
-    @property
-    def is_equigenerated(self) -> bool:
-        return len({g.bit_count() for g in self.generators}) == 1
-
 
 def alexander_dual_ideal(cx: SimplicialComplex) -> MonomialIdeal:
     """Generators are the facet complements inside the universe."""

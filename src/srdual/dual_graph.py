@@ -176,10 +176,3 @@ def induced_on_superfacets(g: DualGraph, s: int) -> DualGraph:
         adj.append(m)
     return DualGraph(g.n, g.d, tuple(g.node_facets[i] for i in keep),
                      tuple(adj), g.names)
-
-
-def is_connected(g: DualGraph) -> bool:
-    if g.node_count == 0:
-        return True
-    everything = (1 << g.node_count) - 1
-    return bfs(g.adjacency, 1, everything)[0] == everything

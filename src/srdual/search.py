@@ -13,30 +13,26 @@ bit k-1-j of p is clear, so p = 0 includes all of them and positions
 run in the old include-first DFS order.  One 2^k-bit int then holds one
 bit per leaf.  A generator yields the block prefixes in DFS order, with
 the mask of their covering positions: the AND of per-vertex cover
-patterns over the vertices the prefix misses.  One evaluator per (d, n)
-keeps the incumbent and runs each block through one bit-sliced BFS:
-from candidate 0, which every leaf holds, for connectivity and the
-eccentricity probe (diameter <= 2 * eccentricity), and, once mu >= 1,
-from every candidate for mu levels, to drop the leaves of diameter below
-mu and those of diameter mu with more facets than the incumbent.  None
-of those could change the incumbent, since mu only rises and while it
-holds the incumbent's facet count only falls; their diameter is at most
-mu, so none could break a proved bound either.  The survivors go
-through the scalar rules in position order: the probe against the
-current mu, (S2), the diameter, the proved bound, the tie-break.
+patterns over the vertices the prefix misses.
 
-(S2) of a connected leaf is one face-star test: for each face s with
-1 <= |s| <= d-2, the chosen facets holding s must be connected (those
-holding a (d-1)-face are pairwise adjacent).  That verdict depends only
-on the chosen part of the face star, so the evaluator memoises it per
-chosen part, for face stars of at most 12 candidates only: the memo then
-holds at most 2^12 entries per face star, however long the run.  The
-diameter grows a ball around every chosen facet at once, as rows of one
-packed int, starting from the radius-1 balls (the facet and its chosen
-neighbours).  The chosen facets' indices are read off the leaf mask one
-byte at a time, through tables built once per (d, n).  Ties go to the
-smaller facet count, then vertex invariants read off the star masks,
-then the canonical form.
+One evaluator per (d, n) keeps the incumbent and runs every leaf rule
+but the last two on whole blocks, through one bit-sliced BFS that runs
+in all leaves of a block at once, each leaf from its own start node.
+It runs from candidate 0, which every leaf holds, for connectivity and
+the eccentricity probe (diameter <= 2 * eccentricity).  It runs once per
+face star for (S2): for each face s with 1 <= |s| <= d-2, the chosen
+facets holding s must be connected (those holding a (d-1)-face are
+pairwise adjacent), so each leaf searches from its lowest chosen facet
+of the star; the smallest stars go first and a block ends once no leaf
+passes.  It runs from every candidate, without a cap, for the exact
+diameters.  Once mu >= 1 the diameters drop the leaves of diameter
+below mu and those of diameter mu with more facets than the incumbent.
+None of those could change the incumbent, since mu only rises and while
+it holds the incumbent's facet count only falls; their diameter is at
+most mu, so none could break a proved bound either.  The survivors go,
+in position order and with their diameters, through the proved bound
+and the tie-break: the smaller facet count, then vertex invariants read
+off the star masks, then the canonical form.
 
 A flat loop over the tasks feeds the blocks to the evaluator, counts the
 covering positions, keeps only the lowest ones a node budget allows and
@@ -63,7 +59,7 @@ from typing import Optional
 
 from .complexes import SimplicialComplex, mask_of, star_masks
 from .errors import BadParams, BoundViolation, ContractViolation
-from .dual_graph import UNBOUNDED, bfs, build_dual_graph, diameter
+from .dual_graph import UNBOUNDED, build_dual_graph, diameter
 
 
 @dataclass(frozen=True)
@@ -233,32 +229,6 @@ def canonical_form(cx: SimplicialComplex) -> CanonicalKey:
     return CanonicalKey(level[0][0], exact=True)
 
 
-def _leaf_diameter(adj, idxs, chosen, m, col):
-    """Diameter of the connected subgraph of `adj` on the nodes `idxs`.
-
-    `chosen` is the mask of `idxs`, m the node count and `col` the mask
-    with bit p*m set for every row p < len(idxs).  Row p of one packed
-    int, bits [p*m, (p+1)*m), is the ball around idxs[p]; the balls start
-    at radius 1 and a step grows every ball by one edge at once.
-    adj[j] < 2**m, so a product never carries into the next row.
-    """
-    if len(idxs) == 1:
-        return 0  # the radius-1 start would count one step
-    balls = 0
-    for p, i in enumerate(idxs):
-        balls |= (adj[i] | 1 << i) << (p * m)
-    full = chosen * col
-    balls &= full
-    steps = 1
-    while balls != full:
-        grown = balls
-        for j in idxs:
-            grown |= ((balls >> j) & col) * adj[j]
-        balls = grown & full
-        steps += 1
-    return steps
-
-
 @dataclass
 class SearchBudget:
     max_nodes: Optional[int] = None
@@ -281,9 +251,6 @@ _TASK_LEVELS = 3  # decisions fixed per task: 2^_TASK_LEVELS tasks
 _BLOCK_LEVELS = 10  # decisions a block varies: up to 2^_BLOCK_LEVELS leaves
 _DONE_LINE = re.compile(r"done (\d+)")
 _INCUMBENT_LINE = re.compile(r"incumbent (\d+)((?: [0-9a-f]+)*)")
-#: face stars with at most this many candidates memoise their (S2)
-#: verdicts, so an evaluator's memo holds at most 2^12 entries per star
-_MEMO_STAR_MAX = 12
 
 
 def _task_levels(d, n):
@@ -343,21 +310,22 @@ def _write_checkpoint(path, d, n, done, incumbent):
         raise
 
 
-def _sliced_bfs(nbrs, pres, start, cap):
-    """Bit-sliced BFS from node `start` in every leaf of a block at once.
+def _sliced_bfs(nbrs, pres, frontier):
+    """Bit-sliced BFS in every leaf of a block at once.
 
     Bit p of pres[i] says that leaf p holds node i, and nbrs[i] lists the
-    neighbours of node i; the search runs in the leaves that hold
-    `start`.  Returns `far`: far[r] is the mask of those leaves that hold
-    a node farther than r from `start` (or none that it reaches), for r
-    up to `cap` or until no leaf grows; later levels equal the last.
+    neighbours of node i.  `frontier` maps each start node to the mask of
+    the leaves that start there, each leaf at one node at most; the
+    search runs in those leaves.  Returns `far`: far[r] is the mask of
+    the leaves that hold a node farther than r from their start (or none
+    that it reaches), until no leaf grows; later levels equal the last.
     """
-    holds = pres[start]
-    todo = [p & holds for p in pres]  # leaves in which node i is unreached
-    todo[start] = 0
-    frontier = {start: holds}
+    started = reduce(or_, frontier.values(), 0)
+    todo = [p & started for p in pres]  # leaves in which node i is unreached
+    for i, f in frontier.items():
+        todo[i] &= ~f
     far = [reduce(or_, todo)]
-    while far[-1] and len(far) <= cap:
+    while far[-1]:
         reach: dict[int, int] = {}
         for j, f in frontier.items():
             for i in nbrs[j]:
@@ -406,30 +374,17 @@ class _Leaves:
         # the complex of all candidates is only a carrier for the dual graph
         self.cands = tuple(mask_of(c) for c in combinations(range(n), d))
         m = len(self.cands)
-        self.adj = build_dual_graph(SimplicialComplex(n, self.cands)).adjacency
+        adj = build_dual_graph(SimplicialComplex(n, self.cands)).adjacency
         self.nbrs = tuple(tuple(j for j in range(m) if a >> j & 1)
-                          for a in self.adj)
+                          for a in adj)
         self.star = star_masks(self.cands, n)  # candidate-index mask per vertex
-        # the candidates holding each face s with 1 <= |s| <= d-2, and
-        # whether its verdicts go into the memo; the smallest face stars,
-        # whose verdicts the memo holds, are tested first
-        face_stars = sorted((reduce(and_, (self.star[v] for v in s))
-                             for k in range(1, d - 1)
-                             for s in combinations(range(n), k)),
-                            key=int.bit_count)
-        self.face_stars = [(fs, fs.bit_count() <= _MEMO_STAR_MAX)
-                           for fs in face_stars]
-        # is the chosen part of a face star connected: sub -> verdict
-        self.memo: dict[int, bool] = {}
-        # byte_idxs[k][b] = the candidate indices of bits 8k..8k+7 set in b
-        self.byte_idxs = [
-            tuple(tuple(8 * k + j for j in range(8) if b >> j & 1)
-                  for b in range(256))
-            for k in range((m + 7) // 8)]
-        # cols[k] has bit p*m set for every row p < k of a packed leaf diameter
-        self.cols = [0] * (m + 1)
-        for k in range(1, m + 1):
-            self.cols[k] = self.cols[k - 1] | 1 << ((k - 1) * m)
+        # the candidate indices holding each face s with 1 <= |s| <= d-2,
+        # smallest face star first
+        face_stars = (reduce(and_, (self.star[v] for v in s))
+                      for k in range(1, d - 1)
+                      for s in combinations(range(n), k))
+        self.face_stars = sorted((tuple(i for i in range(m) if fs >> i & 1)
+                                  for fs in face_stars), key=len)
         self.best_bound = bounds(d, n).best
         # the incumbent: diameter, witness, invariant pre-key, canonical key
         self.mu, self.witness, self.prekey, self.key = -1, None, None, None
@@ -439,11 +394,12 @@ class _Leaves:
 
         The block's leaves choose the candidates below m - k as `prefix`
         does; position p chooses the last k as _slices(k) says, and
-        `covers` is the mask of the positions to offer.  Only leaves that
-        could still change the incumbent reach the scalar rules, in
-        position order, so the incumbent ends as a leaf-by-leaf run
-        would leave it: mu only rises, and while it holds the
-        incumbent's facet count only falls.
+        `covers` is the mask of the positions to offer.  Every rule but
+        the bound gate and the tie-break runs on the whole block at once.
+        The leaves that could still change the incumbent go to _offer
+        with their diameters, in position order, so the incumbent ends as
+        a leaf-by-leaf run would leave it: mu only rises, and while it
+        holds the incumbent's facet count only falls.
         """
         inc, fewer, spread = _slices(k)
         nbrs = self.nbrs
@@ -455,59 +411,48 @@ class _Leaves:
         # and the probe diameter <= 2 * eccentricity.  far0[r-1] holds the
         # leaves of eccentricity >= r, and a leaf passes when
         # 2 * eccentricity >= mu, since a leaf of diameter mu may tie
-        far0 = _sliced_bfs(nbrs, pres, 0, m)
-        last = len(far0) - 1
-        live = covers & ~far0[last]
+        far0 = _sliced_bfs(nbrs, pres, {0: covers})
+        live = covers & ~far0[-1]
         mu = self.mu
         if mu >= 1:
-            live &= far0[min((mu + 1) // 2 - 1, last)]
+            live &= far0[min((mu + 1) // 2 - 1, len(far0) - 1)]
+        # (S2): in each face star, the leaf's chosen candidates must all be
+        # reached from the lowest of them
+        for star in self.face_stars:
+            sub, frontier, seen = [0] * m, {}, 0
+            for i in star:
+                sub[i] = p = pres[i] & live
+                if first := p & ~seen:
+                    frontier[i] = first
+                    seen |= first
+            live &= ~_sliced_bfs(nbrs, sub, frontier)[-1]
+            if not live:
+                return
+        # wider[r]: the live leaves of diameter > r (every diameter is < m)
+        pres = [p & live for p in pres]
+        wider = [0] * m
+        for s in range(m):
+            if pres[s]:
+                for r, f in enumerate(_sliced_bfs(nbrs, pres, {s: pres[s]})):
+                    wider[r] |= f
+        if mu >= 1:
             # drop the leaves of diameter < mu, and those of diameter mu
             # with more facets than the incumbent
             larger = fewer[max(0, min(k + 1, prefix.bit_count() + k
                                        - self.prekey[0]))]
-            pres = [p & live for p in pres]
-            lo = hi = 0  # leaves of diameter > mu - 1, > mu
-            for s in range(m):
-                if pres[s]:
-                    far = _sliced_bfs(nbrs, pres, s, mu)
-                    lo |= far[min(mu - 1, len(far) - 1)]
-                    hi |= far[-1]
-                    if not live & ~(lo & (hi | ~larger)):
-                        break
-            live &= lo & (hi | ~larger)
+            live &= wider[mu - 1] & (wider[mu] | ~larger)
         while live:
             b = live & -live
             live ^= b
             p = b.bit_length() - 1
-            r = (self.mu + 1) // 2
-            if r and not far0[min(r - 1, last)] >> p & 1:
-                continue
-            self._offer(prefix | spread[p] << base)
+            self._offer(prefix | spread[p] << base,
+                        sum(w >> p & 1 for w in wider))
 
-    def _offer(self, chosen):
-        """Offer one connected leaf that passes the probe to the incumbent."""
-        adj = self.adj
-        memo = self.memo
-        for fs, keep in self.face_stars:
-            sub = fs & chosen
-            if not sub:
-                continue
-            ok = memo.get(sub)
-            if ok is None:
-                ok = bfs(adj, sub & -sub, sub)[0] == sub
-                if keep:
-                    memo[sub] = ok
-            if not ok:
-                return
-        idxs = ()
-        rest = chosen
-        for table in self.byte_idxs:
-            idxs += table[rest & 255]
-            rest >>= 8
-        size = len(idxs)
-        diam = _leaf_diameter(adj, idxs, chosen, len(self.cands), self.cols[size])
+    def _offer(self, chosen, diam):
+        """Offer one connected (S2) leaf of diameter `diam` to the incumbent."""
+        facets = tuple(c for i, c in enumerate(self.cands) if chosen >> i & 1)
         if diam > self.best_bound:
-            cx = SimplicialComplex(self.n, tuple(self.cands[i] for i in idxs))
+            cx = SimplicialComplex(self.n, facets)
             raise BoundViolation(
                 "diameter %d exceeds proved bound %d for d=%d n=%d: %r"
                 % (diam, self.best_bound, self.d, self.n, cx), cx)
@@ -517,12 +462,13 @@ class _Leaves:
         # canonical key); the pre-key starts with the facet count, and
         # the full canonicalization only runs inside the minimal
         # invariant class
+        size = len(facets)
         if diam == self.mu and size > self.prekey[0]:
             return
         pk = _prekey([s & chosen for s in self.star], size)
         if diam == self.mu and pk > self.prekey:
             return
-        cx = SimplicialComplex(self.n, tuple(self.cands[i] for i in idxs))
+        cx = SimplicialComplex(self.n, facets)
         if diam > self.mu or pk < self.prekey:
             self.mu, self.witness, self.prekey, self.key = diam, cx, pk, None
         else:

@@ -274,56 +274,10 @@ def test_search_matches_brute_force(d, n, leaves):
     assert res.mu == mu and res.exhaustive
 
 
-def _shortest_path_nodes(adj, m):
-    """Node mask and length of a shortest path from node 0 to a farthest node.
-
-    A shortest path has no chords, so the nodes induce a path.
-    """
-    levels = []
-    bfs(adj, 1, (1 << m) - 1, levels)
-    node = levels[-1] & -levels[-1]
-    path = node
-    for level in reversed(levels[:-1]):
-        node = adj[node.bit_length() - 1] & level
-        node &= -node
-        path |= node
-    return path, len(levels) - 1
-
-
-def test_leaf_diameter_matches_per_source_bfs():
-    rng = random.Random(11)
-    checked = 0
-    for d, n in [(2, 6), (3, 6), (3, 7), (4, 8)]:
-        cands = [mask_of(c) for c in combinations(range(n), d)]
-        m = len(cands)
-        adj = build_dual_graph(SimplicialComplex(n, tuple(cands))).adjacency
-        # every one-node and two-node leaf, and an induced path
-        fixed = [(1 << i, 0) for i in range(m)]
-        fixed += [(1 << i | 1 << j, 1) for i in range(m) for j in range(i)
-                  if adj[i] >> j & 1]
-        fixed.append(_shortest_path_nodes(adj, m))
-        assert fixed[-1][1] >= 2
-        for chosen, want in fixed:
-            idxs = vertices_of(chosen)
-            col = sum(1 << (p * m) for p in range(len(idxs)))
-            assert search._leaf_diameter(adj, idxs, chosen, m, col) == want
-        for _ in range(60):
-            chosen = 0
-            for i in rng.sample(range(m), rng.randint(1, m)):
-                chosen |= 1 << i
-            if bfs(adj, chosen & -chosen, chosen)[0] != chosen:
-                continue
-            idxs = vertices_of(chosen)
-            col = sum(1 << (p * m) for p in range(len(idxs)))
-            want = max(bfs(adj, 1 << i, chosen)[1] for i in idxs)
-            got = search._leaf_diameter(adj, idxs, chosen, m, col)
-            assert got == want, (d, n, idxs)
-            checked += 1
-    assert checked >= 100
-
-
 def _reference_leaf_diameter(adj, idxs, chosen, m, col):
-    """The radius-0 packed diameter the radius-1 start replaced."""
+    """Diameter of a connected leaf: row p of one packed int, bits
+    [p*m, (p+1)*m), is the ball around idxs[p], and each step grows every
+    ball by one edge; col has bit p*m set for every row."""
     balls = 0
     for p, i in enumerate(idxs):
         balls |= 1 << (p * m + i)
@@ -341,9 +295,8 @@ def _reference_leaf_diameter(adj, idxs, chosen, m, col):
 class _ReferenceLeaves:
     """A leaf-by-leaf evaluator with the search's rules, kept as its oracle.
 
-    No blocks, no memo and no byte tables: one BFS for connectivity, one
-    BFS per face star, vertices_of on every leaf and the radius-0 packed
-    diameter.
+    No blocks and no bit slices: for each leaf, one BFS for connectivity,
+    one BFS per face star and a packed diameter.
     """
 
     def __init__(self, d, n):
@@ -453,38 +406,43 @@ def test_leaves_match_reference_evaluator(d, n, limit):
     assert (fast.mu, fast.witness) == (ref.mu, ref.witness)
 
 
-def _memo_bound(leaves):
-    """Sum of 2^|fs| over the face stars whose verdicts are memoised."""
-    return sum(1 << fs.bit_count() for fs, keep in leaves.face_stars if keep)
-
-
-def _offer_blocks(d, n, limit=None):
-    """A fresh evaluator fed the search's blocks until `limit` leaves."""
+@pytest.mark.parametrize("d,n,limit", [(2, 6, None), (3, 6, None),
+                                       (4, 6, None), (3, 7, 2000),
+                                       (4, 8, 1000)])
+def test_block_verdicts_match_the_oracles(d, n, limit):
+    # with the incumbent held at mu = -1, a block offers exactly its
+    # connected (S2) leaves, in position order, each with its diameter:
+    # every leaf of whole blocks (the first ones of (3,7) and (4,8)), and
+    # the complex of all candidates as a block of one position
     leaves = search._Leaves(d, n)
+    cands = leaves.cands
+    m = len(cands)
+    offered = []
+    leaves._offer = lambda chosen, diam: offered.append((chosen, diam))
+
+    def check(prefix, covers, k):
+        offered.clear()
+        leaves.block(prefix, covers, k)
+        want = []
+        for chosen in _block_leaves(m, prefix, covers, k):
+            cx = SimplicialComplex(n, tuple(c for i, c in enumerate(cands)
+                                            if chosen >> i & 1))
+            if is_s2(cx):
+                want.append((chosen, diameter(build_dual_graph(cx))))
+        assert offered == want, (prefix, k)
+        return covers.bit_count()
+
     levels, k = search._task_levels(d, n), search._block_levels(d, n)
-    count = 0
-    for t in range(1 << levels):
-        for prefix, covers in search._blocks(leaves.cands, levels, t, k):
-            if limit is not None and count >= limit:
-                return leaves
-            leaves.block(prefix, covers, k)
-            count += covers.bit_count()
-    return leaves
-
-
-def test_face_star_memo_is_bounded_and_per_evaluator():
-    runs = []
-    for d, n, limit in [(4, 8, 5000), (3, 6, None)]:
-        leaves = _offer_blocks(d, n, limit)
-        assert len(leaves.memo) <= _memo_bound(leaves)
-        runs.append(leaves)
-    big, small = runs
-    # (4,8) face stars have 35 and 15 candidates: none is memoised
-    assert _memo_bound(big) == 0 and big.memo == {}
-    assert _memo_bound(small) == 6 << 10 and small.memo
-    assert small.mu == 3
-    fresh = search._Leaves(3, 6)
-    assert fresh.memo == {} and fresh.memo is not small.memo
+    checked = 0
+    for prefix, covers in chain.from_iterable(
+            search._blocks(cands, levels, t, k) for t in range(1 << levels)):
+        if limit is not None and checked >= limit:
+            break
+        checked += check(prefix, covers, k)
+    assert (checked == search.leaf_count(d, n) if limit is None
+            else checked >= limit)
+    assert check((1 << m) - 1, 1, 0) == 1 and offered
+    assert leaves.mu == -1
 
 
 # mu, canonical witness and leaf count of budgeted runs, as computed by
@@ -515,15 +473,18 @@ def test_mu_4_6_runs_the_separator_check():
     track(res.witness, res.mu)
 
 
-def test_bound_gate_fires_inside_blocks(monkeypatch):
-    # with the bound of (2,6) lowered to 3, a leaf of diameter 4 must
-    # reach the gate: the block filter drops only diameters <= mu
+@pytest.mark.parametrize("d,n,best", [(2, 6, 3), (3, 6, 2), (4, 6, 1)])
+def test_bound_gate_fires_inside_blocks(monkeypatch, d, n, best):
+    # with the bound lowered below mu, a leaf of diameter best + 1 must
+    # reach the gate: the block rules drop only diameters <= mu and the
+    # leaves that fail (S2)
     real = search.bounds
     monkeypatch.setattr(search, "bounds",
-                        lambda d, n: replace(real(d, n), best=3))
+                        lambda d, n: replace(real(d, n), best=best))
     with pytest.raises(search.BoundViolation) as ei:
-        enumerate_mu(2, 6)
-    assert diameter(build_dual_graph(ei.value.complex_)) == 4
+        enumerate_mu(d, n)
+    assert is_s2(ei.value.complex_)
+    assert diameter(build_dual_graph(ei.value.complex_)) == best + 1
 
 
 def test_exhaustive_leaf_total_is_checked(monkeypatch):
@@ -574,17 +535,22 @@ def _reference_task_leaves(cands, levels, task):
     return dfs(1 + levels, chosen, covered)
 
 
+def _block_leaves(m, prefix, covers, k):
+    """A block's leaves in position order: position p includes candidate
+    m - k + j exactly when bit k-1-j of p is clear."""
+    for p in range(1 << k):
+        if covers >> p & 1:
+            yield prefix | sum(1 << (m - k + j) for j in range(k)
+                               if not p >> (k - 1 - j) & 1)
+
+
 def _expand_blocks(cands, levels, task, k):
-    """A task's leaves read off its blocks: position p of a block includes
-    candidate m - k + j exactly when bit k-1-j of p is clear."""
+    """A task's leaves read off its blocks."""
     base = len(cands) - k
     for prefix, covers in search._blocks(cands, levels, task, k):
         assert covers and prefix < 1 << base and prefix & 1
         assert covers < 1 << (1 << k)
-        for p in range(1 << k):
-            if covers >> p & 1:
-                yield prefix | sum(1 << (base + j) for j in range(k)
-                                   if not p >> (k - 1 - j) & 1)
+        yield from _block_leaves(len(cands), prefix, covers, k)
 
 
 @pytest.mark.parametrize("d,n,leaves", [(2, 3, 3), (3, 5, 497),
