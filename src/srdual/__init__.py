@@ -59,7 +59,6 @@ from .serre import (
     is_s2,
     linear_syzygy_check,
     reduced_betti,
-    s2_oracle_pair,
 )
 
 __all__ = [
@@ -71,7 +70,7 @@ __all__ = [
     "eccentricity", "distance_pair", "induced_on_superfacets",
     "S2Verdict", "BettiVector", "is_s2", "is_locally_connected",
     "check_s_level", "linear_syzygy_check", "reduced_betti", "is_buchsbaum",
-    "connected_components", "s2_oracle_pair",
+    "connected_components",
     "GlueSpec", "glue", "overlap_facets", "append_facet_chain",
     "FamilyId", "FAMILY_NAMES", "build", "expected_diameter", "corpus",
     "UpperBounds", "bounds", "verify_bounds", "canonical_form",

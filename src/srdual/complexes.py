@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -129,13 +128,14 @@ class SimplicialComplex:
         return any(face & f == face for f in self.facets)
 
     def faces(self):
-        """All faces, smallest first; generated from facet subsets."""
+        """All nonempty faces, smallest first: each facet's nonempty
+        submasks, enumerated by s -> (s - 1) & f."""
         seen: set[int] = set()
         for f in self.facets:
-            vs = vertices_of(f)
-            for k in range(1, len(vs) + 1):
-                for comb in combinations(vs, k):
-                    seen.add(mask_of(comb))
+            s = f
+            while s:
+                seen.add(s)
+                s = (s - 1) & f
         return sorted(seen, key=lambda m: (m.bit_count(), m))
 
     def __repr__(self):

@@ -5,22 +5,21 @@ facet-ridge graph, and the linear-first-syzygy path test on the Alexander
 dual ideal.  Their agreement on pure complexes is itself a tested
 invariant, not an assumption.
 
-Homology has one sparse elimination for Q and every GF(p).  Betti
-numbers come from a face list with the empty face added; the Buchsbaum
-check reads each link's faces off the complex's one face list.
+Homology has one sparse, fraction-free integer elimination for Q and
+every GF(p).  Betti numbers come from a face list with the empty face
+added; the Buchsbaum check reads each link's faces off the complex's
+one face list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Optional
 
 from .complexes import (
     MonomialIdeal,
     SimplicialComplex,
-    alexander_dual_ideal,
     star_masks,
     vertices_of,
 )
@@ -157,44 +156,63 @@ class BettiVector:
         return self.reduced_betti[i + 1]
 
 
+#: Fields from here up are refused before the primality test, whose
+#: trial division takes time proportional to the square root of the field.
+_FIELD_BOUND = 1 << 31
+
+
 def _check_field(field):
-    """Reject a field that is neither Q (0) nor GF(p) for a prime p."""
-    if field != 0 and (not isinstance(field, int) or field < 2 or any(
-            field % q == 0 for q in range(2, isqrt(field) + 1))):
-        raise BadParams("field must be 0 or a prime, not %r" % (field,))
+    """Reject a field that is neither Q (0) nor GF(p) for a prime p below
+    _FIELD_BOUND."""
+    if field == 0:
+        return
+    if (not isinstance(field, int) or not 2 <= field < _FIELD_BOUND
+            or any(field % q == 0 for q in range(2, isqrt(field) + 1))):
+        raise BadParams("field must be 0 or a prime below 2^31, not %r"
+                        % (field,))
 
 
 def _rank(rows, field):
-    """Rank of sparse rows over Q (field=0) or GF(p) (field=p).
+    """Rank of sparse integer rows over Q (field=0) or GF(p) (field=p).
 
-    A row is a dict from column to an entry that is nonzero in the field.
-    Each row is reduced against the kept pivot rows, keyed by their
-    lowest column and scaled to a leading 1, until it is zero or leads a
-    new column.
+    A row is a dict from column to a nonzero int.  Elimination is
+    fraction-free: while a row's lowest column leads a kept pivot row, the
+    row becomes a*row - b*pivot, where a is the pivot's leading entry and
+    b the row's.  A row that is zero is dropped; one that leads a new
+    column is kept as it stands, with no scaling to a leading 1.  Since a
+    is nonzero in the field, each step keeps the row space.  Over GF(p)
+    every entry is reduced mod p; over Q a row scaled by a != 1 is divided
+    by the gcd of its entries, so entries cannot grow.
     """
-    pivots: dict[int, dict[int, object]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = {c: x % field for c, x in row.items()} if field else dict(row)
+        if field:
+            row = {c: x % field for c, x in row.items() if x % field}
+        else:
+            row = dict(row)
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
-                if field:
-                    inv = pow(row[lead], -1, field)
-                    pivots[lead] = {c: x * inv % field for c, x in row.items()}
-                else:
-                    inv = 1 / Fraction(row[lead])
-                    pivots[lead] = {c: x * inv for c, x in row.items()}
+                pivots[lead] = row
                 break
-            f = row[lead]
+            a = piv[lead]
+            b = row[lead]
+            if a != 1:
+                for c, x in row.items():
+                    row[c] = a * x % field if field else a * x
             for c, x in piv.items():
-                y = row.get(c, 0) - f * x
+                y = row.get(c, 0) - b * x
                 if field:
                     y %= field
                 if y:
                     row[c] = y
                 else:
                     del row[c]
+            if a != 1 and not field and row:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {c: x // g for c, x in row.items()}
     return len(pivots)
 
 
@@ -272,9 +290,3 @@ def connected_components(cx: SimplicialComplex) -> int:
                     parent[ri] = rj
     return len({find(i) for i in range(len(cx.facets))})
 
-
-def s2_oracle_pair(cx: SimplicialComplex) -> tuple[bool, bool]:
-    """(graph oracle, syzygy oracle) — must agree on pure complexes."""
-    graph_side = is_s2(cx).holds
-    syz_side = linear_syzygy_check(alexander_dual_ideal(cx))
-    return graph_side, syz_side

@@ -1,5 +1,9 @@
 import random
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -23,7 +27,6 @@ from srdual import (
     linear_syzygy_check,
     mask_of,
     reduced_betti,
-    s2_oracle_pair,
     vertices_of,
 )
 from srdual.dual_graph import bfs
@@ -34,6 +37,7 @@ from srdual.errors import (
     UnsupportedLevel,
 )
 from srdual.families import FamilyId, corpus
+from srdual.serre import _rank
 
 from conftest import random_pure_complex, track
 
@@ -297,14 +301,97 @@ def test_homology_matches_reference_dense_elimination():
     assert verdicts[4] == verdicts[5] == {True, False}
 
 
-@pytest.mark.parametrize("field", [1, 4, 9, -2])
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block after `seconds`, so that an
+    elimination that stops terminating fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError("no result within %s s" % seconds)
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _random_int_rows(rng):
+    """A dense integer matrix with entries in -3..3, some zero rows, and
+    some rows repeated or scaled, so that pivots need not lead with 1."""
+    ncols = rng.randint(1, 9)
+    rows = [[rng.randint(-3, 3) for _ in range(ncols)]
+            for _ in range(rng.randint(1, 9))]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows.append([0] * ncols)
+        elif kind == 1:
+            rows.append(list(rng.choice(rows)))
+        else:
+            f = rng.choice((-3, -2, 2, 3))
+            rows.append([f * x for x in rng.choice(rows)])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rank_matches_dense_references():
+    rng = random.Random(61)
+    lower = {2: 0, 3: 0, 5: 0}  # matrices whose GF(p) rank is below Q's
+    with _deadline(60):
+        for _ in range(600):
+            dense = _random_int_rows(rng)
+            sparse = [{c: x for c, x in enumerate(r) if x} for r in dense]
+            want_q = _reference_rank_q(dense)
+            assert _rank(sparse, 0) == want_q, dense
+            for p in lower:
+                want = _reference_rank_mod_p(dense, p)
+                assert _rank(sparse, p) == want, (dense, p)
+                lower[p] += want < want_q
+    assert all(count >= 5 for count in lower.values()), lower
+
+
+def _cyclic_polytope(n, dim):
+    """Boundary of the cyclic dim-polytope on n vertices: the dim-sets
+    that pass Gale's evenness condition."""
+    facets = []
+    for facet in combinations(range(n), dim):
+        inside = set(facet)
+        gaps = [v for v in range(n) if v not in inside]
+        if all(sum(i < v < j for v in facet) % 2 == 0
+               for i, j in combinations(gaps, 2)):
+            facets.append(facet)
+    return from_facets(facets)
+
+
+def test_cyclic_polytope_c12_6_is_a_buchsbaum_sphere():
+    c12_6 = _cyclic_polytope(12, 6)
+    assert len(c12_6.facets) == 112 and c12_6.n == 12
+    with _deadline(60):
+        for field in (0, 2, 3):
+            bv = reduced_betti(c12_6, field)
+            assert bv.reduced_betti == (0, 0, 0, 0, 0, 0, 1)
+        for field in (0, 2):
+            assert is_buchsbaum(c12_6, field)
+
+
+@pytest.mark.parametrize("field", [1, 4, 9, -2, 2**31 + 11, 2**61 - 1])
 def test_field_must_be_zero_or_prime(field):
     circle = from_facets([[0, 1], [1, 2], [0, 2]])
+    t0 = time.perf_counter()
     for cx in (circle, _RP2):
         with pytest.raises(BadParams):
             reduced_betti(cx, field)
         with pytest.raises(BadParams):
             is_buchsbaum(cx, field)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_largest_prime_field_below_the_bound():
+    # 2^31 - 1 is prime; 2^31 + 11, the next prime, is refused above
+    circle = from_facets([[0, 1], [1, 2], [0, 2]])
+    assert reduced_betti(circle, 2**31 - 1).reduced_betti == (0, 0, 1)
+    assert is_buchsbaum(_RP2, 2**31 - 1)
 
 
 def test_buchsbaum_examples():
@@ -357,8 +444,8 @@ def test_failure_witness_reverifies():
 def test_oracle_agreement_sample():
     rng = random.Random(41)
     for _ in range(500):
-        a, b = s2_oracle_pair(track(random_pure_complex(rng)))
-        assert a == b
+        cx = track(random_pure_complex(rng))
+        assert is_s2(cx).holds == linear_syzygy_check(alexander_dual_ideal(cx))
 
 
 def test_corpus_is_s2():
