@@ -29,7 +29,6 @@ from .dual_graph import (
     diameter,
     distance_pair,
     eccentricity,
-    induced_on_superfacets,
 )
 from .errors import SrdualError
 from .families import FAMILY_NAMES, FamilyId, build, corpus, expected_diameter
@@ -67,7 +66,7 @@ __all__ = [
     "antichain", "from_facets", "from_masks", "link", "cone", "relabel",
     "alexander_dual_ideal", "complex_of_ideal",
     "DualGraph", "UNBOUNDED", "build_dual_graph", "diameter",
-    "eccentricity", "distance_pair", "induced_on_superfacets",
+    "eccentricity", "distance_pair",
     "S2Verdict", "BettiVector", "is_s2", "is_locally_connected",
     "check_s_level", "linear_syzygy_check", "reduced_betti", "is_buchsbaum",
     "connected_components",

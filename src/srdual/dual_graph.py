@@ -158,21 +158,3 @@ def distance_pair(g: DualGraph, a: int, b: int, want_path: bool = False):
     path.reverse()
     return dist_to[ib], [g.node_facets[i] for i in path]
 
-
-def induced_on_superfacets(g: DualGraph, s: int) -> DualGraph:
-    """Restrict to nodes whose facet contains s; s == 0 keeps everything."""
-    keep = [i for i, f in enumerate(g.node_facets) if f & s == s]
-    pos = {i: k for k, i in enumerate(keep)}
-    adj = []
-    for i in keep:
-        m = 0
-        nbrs = g.adjacency[i]
-        while nbrs:
-            bit = nbrs & -nbrs
-            j = bit.bit_length() - 1
-            if j in pos:
-                m |= 1 << pos[j]
-            nbrs ^= bit
-        adj.append(m)
-    return DualGraph(g.n, g.d, tuple(g.node_facets[i] for i in keep),
-                     tuple(adj), g.names)

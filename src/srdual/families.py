@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .complexes import SimplicialComplex, cone, from_facets, image, mask_of, vertices_of
+from .complexes import (SimplicialComplex, antichain, cone, from_facets, image,
+                        mask_of, vertices_of)
 from .dual_graph import build_dual_graph, diameter
 from .errors import BadParams, ContractViolation, UnknownFamily
-from .gluing import GlueSpec, append_facet_chain, glue, right_vertex_map
+from .gluing import GlueSpec, append_facet_chain, right_vertex_map
 from .serre import is_s2
 
 
@@ -82,12 +83,18 @@ def _chain(blocks, j):
     Each block is (complex, start facet, end facet).  A block's start
     facet is identified with the previous block's end facet, vertices
     matched in ascending index order; the first block's start is unused.
+    Blocks are the unnamed figures, so each step is the facet union that
+    `glue` would return, taken without `glue`'s (S2) postcondition: a
+    build checks (S2) once, under `check=True`.
     """
     cx, _, end = blocks[0]
     for right, start, right_end in blocks[1:]:
-        spec = GlueSpec(cx, right, dict(zip(vertices_of(start), vertices_of(end))))
-        cx = glue(spec)
-        end = image(right_end, right_vertex_map(spec))
+        mapping = right_vertex_map(
+            GlueSpec(cx, right, dict(zip(vertices_of(start), vertices_of(end)))))
+        facets = list(cx.facets) + [image(f, mapping) for f in right.facets]
+        cx = SimplicialComplex(cx.n + right.n - start.bit_count(),
+                               tuple(antichain(facets)))
+        end = image(right_end, mapping)
     return append_facet_chain(cx, end, j)
 
 

@@ -2,8 +2,10 @@
 
 Two independent (S2) tests are provided: local connectedness of the
 facet-ridge graph, and the linear-first-syzygy path test on the Alexander
-dual ideal.  Their agreement on pure complexes is itself a tested
-invariant, not an assumption.
+dual ideal.  Each takes one BFS per distinct separator (resp. box) of a
+pair, not one per pair, and they share no code past `bfs`.  Their
+agreement on pure complexes is itself a tested invariant, not an
+assumption.
 
 Homology has one sparse, fraction-free integer elimination for Q and
 every GF(p).  Betti numbers come from a face list with the empty face
@@ -43,10 +45,13 @@ def is_locally_connected(cx: SimplicialComplex) -> S2Verdict:
     """Property (i): every facet pair is joined inside its separator star.
 
     Checking facet pairs suffices: a path for (u, v) whose nodes all
-    contain u∩v stays inside the induced subgraph of any s ⊆ u∩v.  Pairs
-    are visited with i before j; pairs sharing d-1 vertices are edges.
-    Each distinct separator keeps the components found in its star (the
-    AND of the vertex star masks), so no component is searched twice.
+    contain u∩v stays inside the induced subgraph of any s ⊆ u∩v.  So the
+    property holds iff the star (the facets containing s, the AND of the
+    vertex star masks) of every distinct separator s = u∩v of fewer than
+    d-1 vertices is connected; pairs sharing d-1 vertices are edges.  One
+    BFS per distinct separator tests that.  Only when a star is split are
+    the pairs with a split separator scanned, i before j, to name the
+    first failing one.
     """
     d = cx.d
     if d is None:
@@ -57,26 +62,28 @@ def is_locally_connected(cx: SimplicialComplex) -> S2Verdict:
     facets = g.node_facets
     m = len(facets)
     star = star_masks(facets, cx.n)
-    by_sep: dict[int, tuple[int, list[int]]] = {}
-    for i in range(m):
-        fi = facets[i]
-        bit = 1 << i
-        for j in range(i + 1, m):
-            sep = fi & facets[j]
-            if sep.bit_count() >= d - 1:
-                continue
-            if sep not in by_sep:
-                allowed = (1 << m) - 1
-                for v in vertices_of(sep):
-                    allowed &= star[v]
-                by_sep[sep] = (allowed, [])
-            allowed, comps = by_sep[sep]
-            comp = next((c for c in comps if c & bit), 0)
-            if not comp:
-                comp = bfs(g.adjacency, bit, allowed)[0]
-                comps.append(comp)
-            if not comp >> j & 1:
-                return S2Verdict(False, (fi, facets[j], sep))
+    seps: set[int] = set()
+    for i, fi in enumerate(facets):
+        seps.update([fi & fj for fj in facets[i + 1:]])
+    split = {}
+    for sep in seps:
+        if sep.bit_count() >= d - 1:
+            continue
+        allowed = (1 << m) - 1
+        for v in vertices_of(sep):
+            allowed &= star[v]
+        if bfs(g.adjacency, allowed & -allowed, allowed)[0] != allowed:
+            split[sep] = allowed
+    if split:
+        for i, fi in enumerate(facets):
+            reached = {}
+            for j in range(i + 1, m):
+                sep = fi & facets[j]
+                if sep in split:
+                    if sep not in reached:
+                        reached[sep] = bfs(g.adjacency, 1 << i, split[sep])[0]
+                    if not reached[sep] >> j & 1:
+                        return S2Verdict(False, (fi, facets[j], sep))
     return S2Verdict(True)
 
 
@@ -105,9 +112,12 @@ def linear_syzygy_check(ideal: MonomialIdeal) -> bool:
     True iff every generator pair (u, v) is joined by a walk of
     generators inside supp(u) ∪ supp(v) whose consecutive supports union
     to degree t+1.  Under complementation this mirrors local
-    connectedness of the facet-ridge graph.  The generators inside a box
-    are those with no variable outside it, read off the variable star
-    masks; each distinct box keeps the components found in it.
+    connectedness of the facet-ridge graph.  A walk for (u, v) inside a
+    box B also stays inside any box B' ⊇ B, so this holds iff the
+    generators inside each distinct box gi|gj are connected; they are
+    those with no variable outside it, read off the variable star masks.
+    One BFS per box tests that, skipping boxes of t+1 variables, whose
+    pair is adjacent.
     """
     gens = ideal.generators
     if len({g.bit_count() for g in gens}) != 1:
@@ -115,9 +125,12 @@ def linear_syzygy_check(ideal: MonomialIdeal) -> bool:
     t = gens[0].bit_count()
     m = len(gens)
     adj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (gens[i] | gens[j]).bit_count() == t + 1:
+    boxes: set[int] = set()
+    for i, gi in enumerate(gens):
+        row = [gi | gj for gj in gens[i + 1:]]
+        boxes.update(row)
+        for j, box in enumerate(row, i + 1):
+            if box.bit_count() == t + 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     everything = (1 << m) - 1
@@ -125,23 +138,15 @@ def linear_syzygy_check(ideal: MonomialIdeal) -> bool:
     for g in gens:
         universe |= g
     gstar = star_masks(gens, universe.bit_length())
-    by_box: dict[int, tuple[int, list[int]]] = {}
-    for i in range(m):
-        bit = 1 << i
-        for j in range(i + 1, m):
-            box = gens[i] | gens[j]
-            if box not in by_box:
-                outside = 0
-                for v in vertices_of(universe & ~box):
-                    outside |= gstar[v]
-                by_box[box] = (everything & ~outside, [])
-            allowed, comps = by_box[box]
-            comp = next((c for c in comps if c & bit), 0)
-            if not comp:
-                comp = bfs(adj, bit, allowed)[0]
-                comps.append(comp)
-            if not comp >> j & 1:
-                return False
+    for box in boxes:
+        if box.bit_count() == t + 1:
+            continue
+        outside = 0
+        for v in vertices_of(universe & ~box):
+            outside |= gstar[v]
+        allowed = everything & ~outside
+        if bfs(adj, allowed & -allowed, allowed)[0] != allowed:
+            return False
     return True
 
 
@@ -163,13 +168,13 @@ _FIELD_BOUND = 1 << 31
 
 def _check_field(field):
     """Reject a field that is neither Q (0) nor GF(p) for a prime p below
-    _FIELD_BOUND."""
-    if field == 0:
-        return
-    if (not isinstance(field, int) or not 2 <= field < _FIELD_BOUND
-            or any(field % q == 0 for q in range(2, isqrt(field) + 1))):
-        raise BadParams("field must be 0 or a prime below 2^31, not %r"
-                        % (field,))
+    _FIELD_BOUND.  The type comes first, so 0.0 and False are not Q."""
+    if isinstance(field, int) and not isinstance(field, bool):
+        if field == 0 or (2 <= field < _FIELD_BOUND and all(
+                field % q for q in range(2, isqrt(field) + 1))):
+            return
+    raise BadParams("field must be 0 or a prime below 2^31, not %r"
+                    % (field,))
 
 
 def _rank(rows, field):

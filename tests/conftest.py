@@ -1,7 +1,7 @@
 import random
 from itertools import combinations
 
-from srdual import is_s2, mask_of, verify_bounds
+from srdual import DualGraph, is_s2, mask_of, verify_bounds
 from srdual.complexes import compact
 
 #: every complex any test produces goes through here; the bound invariant
@@ -35,3 +35,26 @@ def random_pure_complex(rng: random.Random, max_n=8, dims=(2, 3, 4)):
         cx = compact(rng.sample(pool, k))
         if cx.n > d:
             return cx
+
+
+def induced_on_superfacets(g: DualGraph, s: int) -> DualGraph:
+    """Restrict to nodes whose facet contains s; s == 0 keeps everything.
+
+    The separator-star subgraph, built node by node: the (S2) witness
+    references use it as an oracle independent of the star masks.
+    """
+    keep = [i for i, f in enumerate(g.node_facets) if f & s == s]
+    pos = {i: k for k, i in enumerate(keep)}
+    adj = []
+    for i in keep:
+        m = 0
+        nbrs = g.adjacency[i]
+        while nbrs:
+            bit = nbrs & -nbrs
+            j = bit.bit_length() - 1
+            if j in pos:
+                m |= 1 << pos[j]
+            nbrs ^= bit
+        adj.append(m)
+    return DualGraph(g.n, g.d, tuple(g.node_facets[i] for i in keep),
+                     tuple(adj), g.names)

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from srdual import (
@@ -8,7 +11,7 @@ from srdual import (
     distance_pair,
     eccentricity,
     from_facets,
-    induced_on_superfacets,
+    from_masks,
     mask_of,
 )
 from srdual.dual_graph import bfs
@@ -20,7 +23,7 @@ from srdual.errors import (
 )
 from srdual.families import FamilyId, from_letters
 
-from conftest import track
+from conftest import induced_on_superfacets, track
 
 
 def _graph(name):
@@ -159,3 +162,35 @@ def test_complement_labels():
     i = g.node_index(mask_of([0, 1, 2]))
     assert g.node_label(i) == "ABC"
     assert g.node_label(i, complement=True) == "DEFG"
+
+
+def _edges(g):
+    """The edge set, as pairs of facet masks."""
+    return {frozenset((g.node_facets[i], g.node_facets[j]))
+            for i in range(g.node_count) for j in range(i + 1, g.node_count)
+            if g.adjacency[i] >> j & 1}
+
+
+def test_complementing_every_facet_keeps_the_dual_graph():
+    # |F^c ∩ G^c| = n - 2d + |F ∩ G|, so F, G share d-1 vertices exactly
+    # when F^c, G^c share (n-d)-1
+    rng = random.Random(67)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(5, 8)
+        d = rng.randint(2, n - 2)
+        full = (1 << n) - 1
+        pool = [mask_of(c) for c in combinations(range(n), d)]
+        masks = rng.sample(pool, rng.randint(2, min(len(pool), 3 * n)))
+        covered, common = 0, full
+        for f in masks:
+            covered |= f
+            common &= f
+        if covered != full or common:  # a vertex unused on either side
+            continue
+        cx = from_masks(masks, n)
+        co = from_masks([full ^ f for f in masks], n)
+        g, h = build_dual_graph(cx), build_dual_graph(co)
+        assert {frozenset(full ^ f for f in e) for e in _edges(g)} == _edges(h)
+        assert diameter(g) == diameter(h)
+        checked += 1

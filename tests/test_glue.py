@@ -1,6 +1,6 @@
 import pytest
 
-from srdual import gluing
+from srdual import families, gluing
 from srdual import (
     GlueSpec,
     append_facet_chain,
@@ -163,14 +163,34 @@ def test_diameter_additivity_on_construction():
     assert diameter(build_dual_graph(two)) == 10 + 9  # 10*2 - 1
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_glue_checks_only_its_result_when_it_holds(monkeypatch, k):
+def _count_s2_calls(monkeypatch):
+    """Record every cx passed to is_s2 by gluing or families."""
     checked = []
     real = gluing.is_s2
-    monkeypatch.setattr(gluing, "is_s2",
-                        lambda cx: checked.append(cx) or real(cx))
-    build(FamilyId("glued_d4", k=k, j=0), check=False)
-    assert len(checked) == k - 1  # one per gluing
+    for module in (gluing, families):
+        monkeypatch.setattr(module, "is_s2",
+                            lambda cx: checked.append(cx) or real(cx))
+    return checked
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_glue_checks_only_its_result_when_it_holds(monkeypatch, k):
+    left = _dim4()
+    right = build(FamilyId("glued_d4", k=k, j=0), check=False)
+    checked = _count_s2_calls(monkeypatch)
+    # the right chain's ABCD onto the left copy's EFGH
+    glued = glue(GlueSpec(left, right, {0: 4, 1: 5, 2: 6, 3: 7}))
+    assert checked == [glued]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_glued_build_checks_s2_once_and_only_under_check(monkeypatch, k):
+    checked = _count_s2_calls(monkeypatch)
+    fam = FamilyId("glued_d4", k=k, j=1)
+    build(fam, check=False)
+    assert checked == []
+    cx = build(fam, check=True)
+    assert checked == [cx]
 
 
 def test_glue_postcondition_checks_inputs_of_a_failing_result(monkeypatch):

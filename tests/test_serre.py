@@ -19,7 +19,6 @@ from srdual import (
     diameter,
     distance_pair,
     from_facets,
-    induced_on_superfacets,
     is_buchsbaum,
     is_locally_connected,
     is_s2,
@@ -29,6 +28,7 @@ from srdual import (
     reduced_betti,
     vertices_of,
 )
+from srdual.complexes import compact, star_masks
 from srdual.dual_graph import bfs
 from srdual.errors import (
     BadParams,
@@ -39,7 +39,7 @@ from srdual.errors import (
 from srdual.families import FamilyId, corpus
 from srdual.serre import _rank
 
-from conftest import random_pure_complex, track
+from conftest import induced_on_superfacets, random_pure_complex, track
 
 
 def test_fig_a2_locally_connected():
@@ -375,7 +375,8 @@ def test_cyclic_polytope_c12_6_is_a_buchsbaum_sphere():
             assert is_buchsbaum(c12_6, field)
 
 
-@pytest.mark.parametrize("field", [1, 4, 9, -2, 2**31 + 11, 2**61 - 1])
+@pytest.mark.parametrize("field", [1, 4, 9, -2, 2**31 + 11, 2**61 - 1,
+                                   0.0, False, True])
 def test_field_must_be_zero_or_prime(field):
     circle = from_facets([[0, 1], [1, 2], [0, 2]])
     t0 = time.perf_counter()
@@ -466,15 +467,78 @@ def _reference_witness(cx):
     return None
 
 
-def test_s2_matches_reference_pair_scan():
-    rng = random.Random(43)
+def _with_one_facet_dropped(rng, cx):
+    """cx less one seeded facet; dropping it may split a separator star."""
+    facets = list(cx.facets)
+    facets.pop(rng.randrange(len(facets)))
+    return compact(facets)
+
+
+def _oracle_inputs(seed):
+    """400 seeded complexes, the corpus, the corpus less one facet each,
+    and glued_d4(k=6, j=1), the largest bench build."""
+    rng = random.Random(seed)
     complexes = [random_pure_complex(rng) for _ in range(400)]
     complexes += [cx for _, cx, _, _ in corpus()]
+    complexes += [_with_one_facet_dropped(rng, cx) for _, cx, _, _ in corpus()]
+    complexes.append(build(FamilyId("glued_d4", k=6, j=1), check=False))
+    return complexes
+
+
+def test_s2_matches_reference_pair_scan():
     failing = 0
-    for cx in complexes:
+    for cx in _oracle_inputs(43):
         want = _reference_witness(cx)
         failing += want is not None
         for verdict in (is_s2(cx), is_locally_connected(cx)):
             assert verdict.holds == (want is None), cx
             assert verdict.witness == want, cx
     assert failing >= 100  # the failure path and its witness are exercised
+
+
+def _reference_syzygy_pairs(ideal):
+    """linear_syzygy_check as a loop over generator pairs, i before j:
+    each distinct box keeps the components found in it, and a pair fails
+    when j is not in i's component of the generators inside its box."""
+    gens = ideal.generators
+    t = gens[0].bit_count()
+    m = len(gens)
+    adj = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if (gens[i] | gens[j]).bit_count() == t + 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    everything = (1 << m) - 1
+    universe = 0
+    for g in gens:
+        universe |= g
+    gstar = star_masks(gens, universe.bit_length())
+    by_box = {}
+    for i in range(m):
+        bit = 1 << i
+        for j in range(i + 1, m):
+            box = gens[i] | gens[j]
+            if box not in by_box:
+                outside = 0
+                for v in vertices_of(universe & ~box):
+                    outside |= gstar[v]
+                by_box[box] = (everything & ~outside, [])
+            allowed, comps = by_box[box]
+            comp = next((c for c in comps if c & bit), 0)
+            if not comp:
+                comp = bfs(adj, bit, allowed)[0]
+                comps.append(comp)
+            if not comp >> j & 1:
+                return False
+    return True
+
+
+def test_linear_syzygy_matches_reference_pair_loop():
+    failing = 0
+    for cx in _oracle_inputs(59):
+        ideal = alexander_dual_ideal(cx)
+        want = _reference_syzygy_pairs(ideal)
+        failing += not want
+        assert linear_syzygy_check(ideal) == want, cx
+    assert failing >= 100
