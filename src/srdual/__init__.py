@@ -13,13 +13,11 @@ from .complexes import (
     SimplicialComplex,
     alexander_dual_ideal,
     antichain,
-    complex_of_ideal,
     cone,
     from_facets,
     from_masks,
     link,
     mask_of,
-    relabel,
     vertices_of,
 )
 from .dual_graph import (
@@ -63,8 +61,8 @@ from .serre import (
 __all__ = [
     "__version__",
     "SimplicialComplex", "MonomialIdeal", "mask_of", "vertices_of",
-    "antichain", "from_facets", "from_masks", "link", "cone", "relabel",
-    "alexander_dual_ideal", "complex_of_ideal",
+    "antichain", "from_facets", "from_masks", "link", "cone",
+    "alexander_dual_ideal",
     "DualGraph", "UNBOUNDED", "build_dual_graph", "diameter",
     "eccentricity", "distance_pair",
     "S2Verdict", "BettiVector", "is_s2", "is_locally_connected",

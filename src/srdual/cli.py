@@ -9,6 +9,7 @@ unknown facet, bad parameters).  The six report commands print through
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -284,8 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call and never mutated.
+
+    Built lazily, not at import, so importing the module stays cheap;
+    parse_args keeps no state in the parser, so repeated calls match.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SrdualError, OSError) as exc:

@@ -15,7 +15,6 @@ from .errors import (
     BadParams,
     EmptyInput,
     IsolatedVertex,
-    NotABijection,
     NotAFace,
     NotPure,
     VertexOutOfRange,
@@ -75,10 +74,15 @@ def default_names(n: int) -> tuple[str, ...]:
 
 def antichain(masks: Iterable[int]) -> list[int]:
     """Maximal elements under containment, deduplicated, ascending order."""
-    uniq = sorted(set(masks), key=lambda m: (bin(m).count("1"), m), reverse=True)
+    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
     keep: list[int] = []
+    larger: list[int] = []  # kept masks strictly larger than the current size
+    size = None
     for m in uniq:
-        if not any(m & k == m for k in keep):
+        # distinct masks of one size never contain each other
+        if m.bit_count() != size:
+            size, larger = m.bit_count(), keep[:]
+        if not any(m & k == m for k in larger):
             keep.append(m)
     keep.sort()
     return keep
@@ -241,12 +245,6 @@ def alexander_dual_ideal(cx: SimplicialComplex) -> MonomialIdeal:
     return MonomialIdeal(cx.n, gens)
 
 
-def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
-    """Inverse of alexander_dual_ideal (complementation is an involution)."""
-    full = (1 << ideal.n) - 1
-    return from_masks([full & ~g for g in ideal.generators], ideal.n)
-
-
 def cone(cx: SimplicialComplex, extra: int) -> SimplicialComplex:
     """Add the same `extra` fresh vertices to every facet."""
     if extra < 1:
@@ -260,17 +258,3 @@ def cone(cx: SimplicialComplex, extra: int) -> SimplicialComplex:
     return SimplicialComplex(cx.n + extra,
                              tuple(sorted(f | apex for f in cx.facets)),
                              names)
-
-
-def relabel(cx: SimplicialComplex, perm: Sequence[int]) -> SimplicialComplex:
-    """Apply a vertex permutation; perm[v] is the new label of v."""
-    if sorted(perm) != list(range(cx.n)):
-        raise NotABijection("perm is not a bijection on 0..%d" % (cx.n - 1))
-    facets = [image(f, perm) for f in cx.facets]
-    names = None
-    if cx.names is not None:
-        names = list(cx.names)
-        for v, w in enumerate(perm):
-            names[w] = cx.names[v]
-        names = tuple(names)
-    return SimplicialComplex(cx.n, tuple(sorted(facets)), names)

@@ -1,8 +1,10 @@
 import random
 from itertools import combinations
 
-from srdual import DualGraph, is_s2, mask_of, verify_bounds
-from srdual.complexes import compact
+from srdual import (DualGraph, SimplicialComplex, from_masks, is_s2, mask_of,
+                    verify_bounds)
+from srdual.complexes import compact, image
+from srdual.errors import NotABijection
 
 #: every complex any test produces goes through here; the bound invariant
 #: is enforced on the spot and the tally is reported by the acceptance run.
@@ -58,3 +60,27 @@ def induced_on_superfacets(g: DualGraph, s: int) -> DualGraph:
         adj.append(m)
     return DualGraph(g.n, g.d, tuple(g.node_facets[i] for i in keep),
                      tuple(adj), g.names)
+
+
+def relabel(cx, perm):
+    """Apply a vertex permutation; perm[v] is the new label of v.
+
+    The oracle of relabel invariance (canonical form, diameter, (S2)).
+    """
+    if sorted(perm) != list(range(cx.n)):
+        raise NotABijection("perm is not a bijection on 0..%d" % (cx.n - 1))
+    facets = [image(f, perm) for f in cx.facets]
+    names = None
+    if cx.names is not None:
+        names = list(cx.names)
+        for v, w in enumerate(perm):
+            names[w] = cx.names[v]
+        names = tuple(names)
+    return SimplicialComplex(cx.n, tuple(sorted(facets)), names)
+
+
+def complex_of_ideal(ideal):
+    """Inverse of alexander_dual_ideal (complementation is an involution):
+    the oracle of its round trip."""
+    full = (1 << ideal.n) - 1
+    return from_masks([full & ~g for g in ideal.generators], ideal.n)

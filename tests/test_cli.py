@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from srdual import cli
 from srdual.cli import build_parser, main
 
 
@@ -210,3 +211,45 @@ def test_search_mu_bad_input_exit_code(tmp_path, capsys):
                   ["--budget-seconds", "nan"]):
         assert main(["search-mu", "--d", "2", "--n", "5"] + extra) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_shared_parser_keeps_no_state_between_calls(a2_file, capsys,
+                                                    monkeypatch):
+    """One process-long sequence of main calls: each gives what the same
+    call gives through a freshly built parser, and the parser is built
+    once."""
+    fresh = build_parser
+    built = []
+
+    def counted():
+        built.append(1)
+        return fresh()
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    calls = [
+        (["check", a2_file, "--letters", "--property", "bogus"], 2),
+        (["check", a2_file, "--letters", "--property", "s2", "--json"], 0),
+        (["check", a2_file, "--letters", "--property", "s2"], 0),
+        (["check", a2_file, "--letters", "--property", "s2",
+          "--field", "2"], 2),
+        (["diameter", a2_file, "--letters", "--pair", "ABC", "DEF",
+          "--path"], 0),
+        (["diameter", a2_file, "--letters"], 0),
+        (["bounds", "--d", "3", "--n", "6", "--json"], 0),
+    ]
+    for argv, want in calls:
+        shared = run(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", fresh)
+            assert run(argv) == shared
+        assert shared[0] == want
+    assert len(built) == 1

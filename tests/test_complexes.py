@@ -9,7 +9,6 @@ from srdual import (
     alexander_dual_ideal,
     build,
     build_dual_graph,
-    complex_of_ideal,
     cone,
     diameter,
     from_facets,
@@ -17,7 +16,6 @@ from srdual import (
     is_s2,
     link,
     mask_of,
-    relabel,
 )
 from srdual.complexes import antichain
 from srdual.errors import (
@@ -30,7 +28,7 @@ from srdual.errors import (
 )
 from srdual.families import FamilyId, from_letters
 
-from conftest import track
+from conftest import complex_of_ideal, relabel, track
 
 
 def test_from_facets_path():
@@ -175,6 +173,52 @@ def test_antichain_property(masks):
                 assert a & b != a  # no containment survives
     # idempotent and order-canonical
     assert antichain(out) == out == sorted(out)
+
+
+def _reference_antichain(masks):
+    """The quadratic loop: each mask against every mask kept before it."""
+    uniq = sorted(set(masks), key=lambda m: (bin(m).count("1"), m),
+                  reverse=True)
+    keep = []
+    for m in uniq:
+        if not any(m & k == m for k in keep):
+            keep.append(m)
+    keep.sort()
+    return keep
+
+
+class _CountedMask(int):
+    """An int mask that counts the `&` it takes part in."""
+    ands = 0
+
+    def __and__(self, other):
+        _CountedMask.ands += 1
+        return int(self) & other
+
+
+def test_antichain_matches_reference_loop():
+    rng = random.Random(15)
+    dropped = 0
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        d = rng.randint(1, n)
+        one_size = [mask_of(rng.sample(range(n), d))
+                    for _ in range(rng.randint(1, 30))]
+        mixed = [rng.randint(1, 2 ** n - 1) for _ in range(rng.randint(1, 30))]
+        duplicated = mixed + rng.choices(mixed, k=len(mixed))
+        order = rng.sample(range(n), n)
+        chain = [mask_of(order[:i]) for i in range(1, n + 1)]
+        nested = rng.sample(chain, rng.randint(1, n)) + mixed[:rng.randint(0, 5)]
+        for masks in (one_size, mixed, duplicated, nested):
+            want = _reference_antichain(masks)
+            assert antichain(masks) == want
+            dropped += len(set(masks)) > len(want)
+    assert dropped >= 300  # containment removes masks in many inputs
+    # distinct masks of one size never contain each other: no test at all
+    _CountedMask.ands = 0
+    assert antichain(map(_CountedMask, [0b0111, 0b1011, 0b1101, 0b1110,
+                                        0b0111])) == [7, 11, 13, 14]
+    assert _CountedMask.ands == 0
 
 
 def test_empty_face_complex_representation():

@@ -19,7 +19,6 @@ from srdual import (
     from_facets,
     is_s2,
     mask_of,
-    relabel,
     search,
     verify_bounds,
     vertices_of,
@@ -29,7 +28,7 @@ from srdual.dual_graph import bfs
 from srdual.errors import BadParams, ContractViolation, IsolatedVertex
 from srdual.families import FamilyId, corpus
 
-from conftest import random_pure_complex, track
+from conftest import random_pure_complex, relabel, track
 
 
 def test_bounds_examples():
