@@ -16,7 +16,6 @@ from .complexes import (
     cone,
     from_facets,
     from_masks,
-    link,
     mask_of,
     vertices_of,
 )
@@ -29,13 +28,8 @@ from .dual_graph import (
     eccentricity,
 )
 from .errors import SrdualError
-from .families import FAMILY_NAMES, FamilyId, build, corpus, expected_diameter
-from .fileio import (
-    dual_graph_from_json,
-    export_graph,
-    parse_facet_file,
-    serialize_facet_file,
-)
+from .families import FAMILY_NAMES, FamilyId, build, expected_diameter
+from .fileio import export_graph, parse_facet_file, serialize_facet_file
 from .gluing import GlueSpec, append_facet_chain, glue, overlap_facets
 from .search import (
     SearchBudget,
@@ -49,7 +43,6 @@ from .search import (
 from .serre import (
     BettiVector,
     S2Verdict,
-    check_s_level,
     connected_components,
     is_buchsbaum,
     is_locally_connected,
@@ -61,18 +54,17 @@ from .serre import (
 __all__ = [
     "__version__",
     "SimplicialComplex", "MonomialIdeal", "mask_of", "vertices_of",
-    "antichain", "from_facets", "from_masks", "link", "cone",
+    "antichain", "from_facets", "from_masks", "cone",
     "alexander_dual_ideal",
     "DualGraph", "UNBOUNDED", "build_dual_graph", "diameter",
     "eccentricity", "distance_pair",
     "S2Verdict", "BettiVector", "is_s2", "is_locally_connected",
-    "check_s_level", "linear_syzygy_check", "reduced_betti", "is_buchsbaum",
+    "linear_syzygy_check", "reduced_betti", "is_buchsbaum",
     "connected_components",
     "GlueSpec", "glue", "overlap_facets", "append_facet_chain",
-    "FamilyId", "FAMILY_NAMES", "build", "expected_diameter", "corpus",
+    "FamilyId", "FAMILY_NAMES", "build", "expected_diameter",
     "UpperBounds", "bounds", "verify_bounds", "canonical_form",
     "SearchBudget", "SearchResult", "enumerate_mu",
     "parse_facet_file", "serialize_facet_file", "export_graph",
-    "dual_graph_from_json",
     "SrdualError",
 ]

@@ -15,7 +15,6 @@ from .errors import (
     BadParams,
     EmptyInput,
     IsolatedVertex,
-    NotAFace,
     NotPure,
     VertexOutOfRange,
 )
@@ -103,8 +102,7 @@ class SimplicialComplex:
 
     @property
     def is_pure(self) -> bool:
-        sizes = {f.bit_count() for f in self.facets}
-        return len(sizes) == 1
+        return self.d is not None
 
     @property
     def d(self) -> Optional[int]:
@@ -115,10 +113,6 @@ class SimplicialComplex:
         return None
 
     @property
-    def codim(self) -> Optional[int]:
-        return None if self.d is None else self.n - self.d
-
-    @property
     def vertex_names(self) -> tuple[str, ...]:
         return self.names if self.names is not None else default_names(self.n)
 
@@ -127,9 +121,6 @@ class SimplicialComplex:
 
     def facet_name(self, mask: int) -> str:
         return facet_label(mask, self.vertex_names)
-
-    def has_face(self, face: int) -> bool:
-        return any(face & f == face for f in self.facets)
 
     def faces(self):
         """All nonempty faces, smallest first: each facet's nonempty
@@ -188,26 +179,6 @@ def from_facets(facet_list: Iterable[Iterable[int]],
     if not facet_list:
         raise EmptyInput("no facets given")
     return from_masks([mask_of(f) for f in facet_list], universe_size, names)
-
-
-_EMPTY_FACE_COMPLEX = SimplicialComplex(0, (0,))
-
-
-def link(cx: SimplicialComplex, face: VertexSet) -> SimplicialComplex:
-    """Link of a face: residues of the facets containing it.
-
-    The result lives on a compacted universe of the vertices that appear;
-    link(cx, 0) is cx, and the link of a whole facet is the {∅} complex.
-    """
-    if face == 0:
-        return cx
-    if not cx.has_face(face):
-        raise NotAFace("not a face: %s" % bin(face))
-    residues = [f & ~face for f in cx.facets if face & f == face]
-    residues = antichain(residues)
-    if residues == [0]:
-        return _EMPTY_FACE_COMPLEX
-    return compact(residues, cx.vertex_names)
 
 
 def compact(facets: Iterable[int],

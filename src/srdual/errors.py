@@ -17,19 +17,11 @@ class IsolatedVertex(SrdualError):
     pass
 
 
-class NotAFace(SrdualError):
-    pass
-
-
 class NotAFacet(SrdualError):
     pass
 
 
 class NotPure(SrdualError):
-    pass
-
-
-class NotABijection(SrdualError):
     pass
 
 

@@ -208,17 +208,3 @@ def build(fam: FamilyId, check: bool = True) -> SimplicialComplex:
         if not is_s2(cx).holds:
             raise ContractViolation("%s: not (S2)" % (fam,))
     return cx
-
-
-def corpus():
-    """Every fixed figure plus small parameter sweeps, with expectations.
-
-    Yields (FamilyId, complex, expected_diameter, expected_s2).
-    """
-    fams = [FamilyId(name) for name in _FIGURES]
-    fams += [FamilyId("path2", n=n) for n in range(4, 11)]
-    fams += [FamilyId("glued_d4", k=k, j=j) for k in range(1, 4) for j in range(4)]
-    fams += [FamilyId("glued_d3", k=k, j=j) for k in range(1, 4) for j in range(4)]
-    fams += [FamilyId("glued_d3_g0", k=k, j=j) for k in range(1, 3) for j in (4, 5)]
-    return [(fam, build(fam, check=False), expected_diameter(fam), True)
-            for fam in fams]

@@ -109,16 +109,3 @@ def export_graph(g: DualGraph, fmt: str = "dot", labels: str = "facet") -> str:
         }
         return json.dumps(doc, indent=2) + "\n"
     raise ParseError("unknown export format %r" % fmt)
-
-
-def dual_graph_from_json(text: str) -> DualGraph:
-    doc = json.loads(text)
-    if doc.get("version") != 1:
-        raise ParseError("unsupported graph JSON version")
-    nodes = [mask_of(vs) for vs in doc["nodes"]]
-    adj = [0] * len(nodes)
-    for i, j in doc["edges"]:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    names = tuple(doc["names"]) if doc.get("names") else None
-    return DualGraph(doc["n"], doc["d"], tuple(nodes), tuple(adj), names)

@@ -29,7 +29,7 @@ from .errors import (
     OverlapTooSmall,
     UnsupportedLevel,
 )
-from .serre import check_s_level, is_s2
+from .serre import is_s2
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def glue(spec: GlueSpec) -> SimplicialComplex:
     if sizes.pop() < d - 1:  # dimension >= d-2
         raise OverlapTooSmall("overlap dimension below d-2")
     if spec.level == 3:
-        if not check_s_level(compact(gamma), 2):
+        if not is_s2(compact(gamma)).holds:
             raise OverlapSerreFailure("overlap is not (S_2)")
 
     names = None

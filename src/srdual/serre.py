@@ -26,8 +26,7 @@ from .complexes import (
     vertices_of,
 )
 from .dual_graph import bfs, build_dual_graph
-from .errors import (BadParams, DimensionTooSmall, NotEquigenerated, NotPure,
-                     UnsupportedLevel)
+from .errors import BadParams, DimensionTooSmall, NotEquigenerated, NotPure
 
 
 @dataclass(frozen=True)
@@ -95,15 +94,6 @@ def is_s2(cx: SimplicialComplex) -> S2Verdict:
     if len(sizes) != 1:
         return S2Verdict(False, reason="not pure")
     return is_locally_connected(cx)
-
-
-def check_s_level(cx: SimplicialComplex, level: int) -> bool:
-    """Serre level check; only levels 1 and 2 have combinatorial tests."""
-    if level == 1:
-        return True
-    if level == 2:
-        return is_s2(cx).holds
-    raise UnsupportedLevel("no combinatorial (S_%d) criterion" % level)
 
 
 def linear_syzygy_check(ideal: MonomialIdeal) -> bool:
@@ -278,20 +268,19 @@ def is_buchsbaum(cx: SimplicialComplex, field: int = 0) -> bool:
 
 
 def connected_components(cx: SimplicialComplex) -> int:
-    """Union-find on facets sharing a vertex; independent of homology."""
-    parent = list(range(len(cx.facets)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, fi in enumerate(cx.facets):
-        for j in range(i + 1, len(cx.facets)):
-            if fi & cx.facets[j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    return len({find(i) for i in range(len(cx.facets))})
-
+    """Components of the facets-sharing-a-vertex graph, by `bfs`;
+    independent of homology.  A facet's neighbours are the OR of its
+    vertices' star masks."""
+    star = star_masks(cx.facets, cx.n)
+    adj = []
+    for f in cx.facets:
+        nbrs = 0
+        for v in vertices_of(f):
+            nbrs |= star[v]
+        adj.append(nbrs)
+    left = (1 << len(adj)) - 1
+    count = 0
+    while left:
+        left &= ~bfs(adj, left & -left, left)[0]
+        count += 1
+    return count

@@ -1,10 +1,11 @@
 import random
 from itertools import combinations
 
-from srdual import (DualGraph, SimplicialComplex, from_masks, is_s2, mask_of,
+from srdual import (DualGraph, SimplicialComplex, antichain, build,
+                    expected_diameter, from_masks, is_s2, mask_of,
                     verify_bounds)
 from srdual.complexes import compact, image
-from srdual.errors import NotABijection
+from srdual.families import _FIGURES, FamilyId
 
 #: every complex any test produces goes through here; the bound invariant
 #: is enforced on the spot and the tally is reported by the acceptance run.
@@ -68,7 +69,7 @@ def relabel(cx, perm):
     The oracle of relabel invariance (canonical form, diameter, (S2)).
     """
     if sorted(perm) != list(range(cx.n)):
-        raise NotABijection("perm is not a bijection on 0..%d" % (cx.n - 1))
+        raise ValueError("perm is not a bijection on 0..%d" % (cx.n - 1))
     facets = [image(f, perm) for f in cx.facets]
     names = None
     if cx.names is not None:
@@ -84,3 +85,32 @@ def complex_of_ideal(ideal):
     the oracle of its round trip."""
     full = (1 << ideal.n) - 1
     return from_masks([full & ~g for g in ideal.generators], ideal.n)
+
+
+def link(cx, face):
+    """Link of a face: residues of the facets containing it.
+
+    The result lives on a compacted universe of the vertices that appear;
+    link(cx, 0) is cx, and the link of a whole facet is the {∅} complex.
+    The oracle of the Buchsbaum check, which reads links off the face list.
+    """
+    if face == 0:
+        return cx
+    residues = antichain(f & ~face for f in cx.facets if face & f == face)
+    if residues == [0]:
+        return SimplicialComplex(0, (0,))
+    return compact(residues, cx.vertex_names)
+
+
+def corpus():
+    """Every fixed figure plus small parameter sweeps, all of them (S2).
+
+    Returns (FamilyId, complex, expected diameter) rows.
+    """
+    fams = [FamilyId(name) for name in _FIGURES]
+    fams += [FamilyId("path2", n=n) for n in range(4, 11)]
+    fams += [FamilyId("glued_d4", k=k, j=j) for k in range(1, 4) for j in range(4)]
+    fams += [FamilyId("glued_d3", k=k, j=j) for k in range(1, 4) for j in range(4)]
+    fams += [FamilyId("glued_d3_g0", k=k, j=j) for k in range(1, 3) for j in (4, 5)]
+    return [(fam, build(fam, check=False), expected_diameter(fam))
+            for fam in fams]

@@ -24,11 +24,11 @@ from srdual import (
     linear_syzygy_check,
     verify_bounds,
 )
-from srdual.families import FamilyId, corpus
+from srdual.families import FamilyId
 from srdual.search import leaf_count
 from srdual.serre import connected_components
 
-from conftest import BOUND_CHECKS, random_pure_complex, track
+from conftest import BOUND_CHECKS, corpus, random_pure_complex, track
 
 _TABLE_CELLS = ([(2, n, n - 2) for n in range(4, 11)]
                 + [(3, 7, 5), (3, 8, 6), (3, 9, 7), (3, 10, 9),
@@ -132,7 +132,7 @@ def test_criterion_6_oracle_agreement():
 
 
 def test_criterion_7_bound_invariant():
-    for fam, cx, want, _ in corpus():
+    for fam, cx, want in corpus():
         assert verify_bounds(cx, want), str(fam)
         track(cx, want)
     assert BOUND_CHECKS["violations"] == 0

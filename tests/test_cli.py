@@ -201,6 +201,18 @@ def test_json_envelope(a2_file, capsys):
     assert doc == {"property": "s2", "holds": True}
 
 
+def test_check_connected(a2_file, tmp_path, capsys):
+    two = _write(tmp_path, "two.txt", "ABC\nDEF\n")
+    assert main(["check", two, "--letters", "--property", "connected"]) == 1
+    assert capsys.readouterr().out == "connected: FAILS\n"
+    assert main(["check", two, "--letters", "--property", "connected",
+                 "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"property": "connected", "holds": False}
+    assert main(["check", a2_file, "--letters", "--property", "connected"]) == 0
+    assert capsys.readouterr().out == "connected: holds\n"
+
+
 def test_search_mu_bad_input_exit_code(tmp_path, capsys):
     ck = _write(tmp_path, "ck.txt", "mu-search-v1\nd=2 n=5\ndone x\n")
     # every task done but no incumbent line

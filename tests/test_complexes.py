@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srdual import (
-    MonomialIdeal,
     SimplicialComplex,
     alexander_dual_ideal,
     build,
@@ -14,7 +13,6 @@ from srdual import (
     from_facets,
     from_masks,
     is_s2,
-    link,
     mask_of,
 )
 from srdual.complexes import antichain
@@ -22,13 +20,12 @@ from srdual.errors import (
     BadParams,
     EmptyInput,
     IsolatedVertex,
-    NotABijection,
     NotPure,
     VertexOutOfRange,
 )
 from srdual.families import FamilyId, from_letters
 
-from conftest import complex_of_ideal, relabel, track
+from conftest import complex_of_ideal, link, relabel, track
 
 
 def test_from_facets_path():
@@ -126,7 +123,7 @@ def test_cone_codim4_witness():
     dim4 = build(FamilyId("dim4"), check=False)
     for extra in (1, 2, 3):
         c = track(cone(dim4, extra))
-        assert c.d == 4 + extra and c.codim == 4
+        assert c.d == 4 + extra and c.n - c.d == 4
         assert diameter(build_dual_graph(c)) == 6
         assert is_s2(c).holds
 
@@ -159,7 +156,7 @@ def test_relabel_invariance_of_diameter_and_s2():
 
 def test_relabel_rejects_non_bijection():
     a2 = build(FamilyId("fig_a2"), check=False)
-    with pytest.raises(NotABijection):
+    with pytest.raises(ValueError):
         relabel(a2, [0] * a2.n)
 
 

@@ -5,13 +5,15 @@ import pytest
 from srdual import (
     build,
     build_dual_graph,
-    dual_graph_from_json,
     export_graph,
+    mask_of,
     parse_facet_file,
     serialize_facet_file,
 )
 from srdual.errors import ParseError
-from srdual.families import FamilyId, corpus
+from srdual.families import FamilyId
+
+from conftest import corpus
 
 
 def test_parse_letters_mode_fig_a1():
@@ -52,7 +54,7 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_round_trip_over_corpus():
-    for fam, cx, _, _ in corpus():
+    for fam, cx, _ in corpus():
         again = parse_facet_file(serialize_facet_file(cx))
         assert again == cx, str(fam)
         assert tuple(again.vertex_name(v) for v in range(again.n)) == \
@@ -84,9 +86,12 @@ def test_export_json_round_trips_fig_a2():
     g = build_dual_graph(build(FamilyId("fig_a2"), check=False))
     doc = json.loads(export_graph(g, fmt="json"))
     assert len(doc["nodes"]) == 10 and len(doc["edges"]) == 12
-    back = dual_graph_from_json(export_graph(g, fmt="json"))
-    assert back.node_facets == g.node_facets
-    assert back.adjacency == g.adjacency
+    assert [mask_of(vs) for vs in doc["nodes"]] == list(g.node_facets)
+    adj = [0] * len(doc["nodes"])
+    for i, j in doc["edges"]:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    assert tuple(adj) == g.adjacency
 
 
 def test_export_complement_labels():

@@ -19,6 +19,8 @@ from srdual.errors import (
     ContractViolation,
     DimensionMismatch,
     NotAFacet,
+    OverlapNotPure,
+    OverlapSerreFailure,
     OverlapTooSmall,
     UnsupportedLevel,
 )
@@ -87,6 +89,20 @@ def test_level_constraints():
         glue(GlueSpec(tri, tri, {0: 0, 1: 1}, level=4))
     # level 3 requires the overlap to be (S2); an edge overlap is
     assert glue(GlueSpec(tri, tri, {0: 0, 1: 1}, level=3)).n == 4
+    left = from_facets([[0, 1, 2], [2, 3, 4]])
+    right = from_facets([[0, 1, 2], [3, 4, 5]])
+    # overlap {01, 3}: maximal faces of sizes 1 and 2, at either level
+    for level in (2, 3):
+        with pytest.raises(OverlapNotPure, match=r"\[1, 2\]"):
+            glue(GlueSpec(left, right, {0: 0, 1: 1, 3: 3}, level=level))
+    # overlap {01, 34}: pure of size d - 1 but disconnected, so not (S2);
+    # only level 3 asks the overlap for (S2)
+    ident = {0: 0, 1: 1, 3: 3, 4: 4}
+    with pytest.raises(OverlapSerreFailure):
+        glue(GlueSpec(left, right, ident, level=3))
+    glued = glue(GlueSpec(left, right, ident))
+    assert [glued.facet_name(f) for f in glued.facets] == [
+        "ABC", "CDE", "ABF", "DEG"]
 
 
 def test_overlap_facets_antichain():

@@ -14,7 +14,6 @@ from srdual import (
     alexander_dual_ideal,
     build,
     build_dual_graph,
-    check_s_level,
     connected_components,
     diameter,
     distance_pair,
@@ -22,7 +21,6 @@ from srdual import (
     is_buchsbaum,
     is_locally_connected,
     is_s2,
-    link,
     linear_syzygy_check,
     mask_of,
     reduced_betti,
@@ -30,16 +28,12 @@ from srdual import (
 )
 from srdual.complexes import compact, star_masks
 from srdual.dual_graph import bfs
-from srdual.errors import (
-    BadParams,
-    DimensionTooSmall,
-    NotEquigenerated,
-    UnsupportedLevel,
-)
-from srdual.families import FamilyId, corpus
+from srdual.errors import BadParams, DimensionTooSmall, NotEquigenerated
+from srdual.families import FamilyId
 from srdual.serre import _rank
 
-from conftest import induced_on_superfacets, random_pure_complex, track
+from conftest import (corpus, induced_on_superfacets, link, random_pure_complex,
+                      track)
 
 
 def test_fig_a2_locally_connected():
@@ -126,7 +120,7 @@ def _reference_syzygy_check(ideal):
 def test_linear_syzygy_matches_reference_box_scan():
     rng = random.Random(47)
     complexes = [random_pure_complex(rng) for _ in range(400)]
-    complexes += [cx for _, cx, _, _ in corpus()]
+    complexes += [cx for _, cx, _ in corpus()]
     failing = 0
     for cx in complexes:
         ideal = alexander_dual_ideal(cx)
@@ -285,7 +279,7 @@ def test_homology_matches_reference_dense_elimination():
     rng = random.Random(53)
     complexes = [random_pure_complex(rng, dims=(d,))
                  for d in (2, 3, 4, 5) for _ in range(40)]
-    complexes += [cx for _, cx, _, _ in corpus() if len(cx.facets) <= 40]
+    complexes += [cx for _, cx, _ in corpus() if len(cx.facets) <= 40]
     complexes += [_RP2, SimplicialComplex(0, (0,)), from_facets([[0]])]
     verdicts = {d: set() for d in range(6)}
     for cx in complexes:
@@ -405,15 +399,6 @@ def test_buchsbaum_examples():
         assert is_buchsbaum(simplex, field)
 
 
-def test_check_s_level():
-    two = from_facets([[0, 1], [2, 3]])
-    assert check_s_level(two, 1)
-    a5 = build(FamilyId("fig_a5"), check=False)
-    assert check_s_level(a5, 2)
-    with pytest.raises(UnsupportedLevel):
-        check_s_level(a5, 3)
-
-
 def test_failure_witness_reverifies():
     rng = random.Random(37)
     seen = 0
@@ -450,8 +435,8 @@ def test_oracle_agreement_sample():
 
 
 def test_corpus_is_s2():
-    for fam, cx, _, expected_s2 in corpus():
-        assert is_s2(cx).holds == expected_s2, str(fam)
+    for fam, cx, _ in corpus():
+        assert is_s2(cx).holds, str(fam)
 
 
 def _reference_witness(cx):
@@ -479,8 +464,8 @@ def _oracle_inputs(seed):
     and glued_d4(k=6, j=1), the largest bench build."""
     rng = random.Random(seed)
     complexes = [random_pure_complex(rng) for _ in range(400)]
-    complexes += [cx for _, cx, _, _ in corpus()]
-    complexes += [_with_one_facet_dropped(rng, cx) for _, cx, _, _ in corpus()]
+    complexes += [cx for _, cx, _ in corpus()]
+    complexes += [_with_one_facet_dropped(rng, cx) for _, cx, _ in corpus()]
     complexes.append(build(FamilyId("glued_d4", k=6, j=1), check=False))
     return complexes
 
