@@ -21,7 +21,7 @@ from srdual.errors import (
     NotPure,
     UnknownNode,
 )
-from srdual.families import FamilyId
+from srdual.families import FamilyId, from_letters
 
 from conftest import induced_on_superfacets, track
 
