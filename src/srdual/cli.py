@@ -89,7 +89,7 @@ def _cmd_diameter(args) -> int:
     g = build_dual_graph(cx)
     if args.pair:
         a, b = (_lookup_facet(cx, token) for token in args.pair)
-        key, (dist, path) = "distance", distance_pair(g, a, b, want_path=True)
+        key, (dist, path) = "distance", distance_pair(g, a, b)
     else:
         key, dist, path = "diameter", diameter(g), None
     lines = ["%s: %s" % (key, "unbounded" if dist is UNBOUNDED else dist)]
@@ -172,10 +172,9 @@ def _cmd_search_mu(args) -> int:
 
 def _cmd_bounds(args) -> int:
     b = bounds(args.d, args.n)
-    entries = b.entries()
-    lines = ["%s: %d" % (k, v) for k, v in sorted(entries.items())]
+    lines = ["%s: %d" % (k, v) for k, v in sorted(b.entries.items())]
     lines.append("best: %d" % b.best)
-    _emit(args, {"d": b.d, "n": b.n, "bounds": entries, "best": b.best}, lines)
+    _emit(args, {"d": b.d, "n": b.n, "bounds": b.entries, "best": b.best}, lines)
     return 0
 
 

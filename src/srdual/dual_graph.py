@@ -73,18 +73,15 @@ def build_dual_graph(cx: SimplicialComplex) -> DualGraph:
     return DualGraph(cx.n, d, facets, tuple(adj), cx.names)
 
 
-def bfs(adj, start: int, allowed: int, levels: Optional[list] = None):
+def bfs(adj, start: int, allowed: int):
     """Breadth-first search over bitset adjacency, inside `allowed`.
 
     `adj[i]` is the neighbor mask of node i and `start` a mask of start
-    nodes.  Returns (reached, depth): the mask of nodes reached and the
-    number of levels past the start.  With a `levels` list, the mask of
-    each level, the start first, is appended to it.
+    nodes.  Returns (reached, levels): the mask of nodes reached and the
+    mask of each level, the start first.
     """
     seen = frontier = start
-    depth = 0
-    if levels is not None:
-        levels.append(start)
+    levels = [start]
     while True:
         nxt = 0
         f = frontier
@@ -94,18 +91,16 @@ def bfs(adj, start: int, allowed: int, levels: Optional[list] = None):
             f ^= b
         frontier = nxt & allowed & ~seen
         if not frontier:
-            return seen, depth
+            return seen, levels
         seen |= frontier
-        depth += 1
-        if levels is not None:
-            levels.append(frontier)
+        levels.append(frontier)
 
 
 def eccentricity(g: DualGraph, start: int):
     """Max BFS distance from `start`; UNBOUNDED if some node is unreachable."""
     everything = (1 << g.node_count) - 1
-    reached, depth = bfs(g.adjacency, 1 << start, everything)
-    return depth if reached == everything else UNBOUNDED
+    reached, levels = bfs(g.adjacency, 1 << start, everything)
+    return len(levels) - 1 if reached == everything else UNBOUNDED
 
 
 def diameter(g: DualGraph):
@@ -122,39 +117,21 @@ def diameter(g: DualGraph):
     return best
 
 
-def distance_pair(g: DualGraph, a: int, b: int, want_path: bool = False):
-    """BFS distance between two node labels (facet masks).
+def distance_pair(g: DualGraph, a: int, b: int):
+    """BFS distance and a shortest path between two node labels (facet masks).
 
-    With want_path, returns (dist, path-of-facet-masks); ties are broken
-    toward the lowest-index predecessor, so paths are deterministic.
+    Returns (dist, path-of-facet-masks), or (UNBOUNDED, None) when b is
+    not reachable from a.  Each step back takes the lowest-index
+    neighbor on the level before, so paths are deterministic.
     """
     ia, ib = g.node_index(a), g.node_index(b)
-    levels: list[int] = []
-    bfs(g.adjacency, 1 << ia, (1 << g.node_count) - 1, levels)
-    dist_to: dict[int, int] = {}
-    for dist, level in enumerate(levels):
-        f = level
-        while f:
-            bit = f & -f
-            dist_to[bit.bit_length() - 1] = dist
-            f ^= bit
-    if ib not in dist_to:
-        return (UNBOUNDED, None) if want_path else UNBOUNDED
-    if not want_path:
-        return dist_to[ib]
+    _, levels = bfs(g.adjacency, 1 << ia, (1 << g.node_count) - 1)
+    dist = next((k for k, level in enumerate(levels) if level >> ib & 1), None)
+    if dist is None:
+        return UNBOUNDED, None
     path = [ib]
-    cur = ib
-    while cur != ia:
-        want = dist_to[cur] - 1
-        nbrs = g.adjacency[cur]
-        while nbrs:
-            bit = nbrs & -nbrs
-            j = bit.bit_length() - 1
-            if dist_to.get(j) == want:
-                cur = j
-                break
-            nbrs ^= bit
-        path.append(cur)
+    for k in range(dist, 0, -1):
+        prev = g.adjacency[path[-1]] & levels[k - 1]
+        path.append((prev & -prev).bit_length() - 1)
     path.reverse()
-    return dist_to[ib], [g.node_facets[i] for i in path]
-
+    return dist, [g.node_facets[i] for i in path]

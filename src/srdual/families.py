@@ -40,8 +40,8 @@ def letters(spec: str) -> list[list[int]]:
     return [[ord(c) - ord("A") for c in word] for word in spec.split()]
 
 
-def from_letters(spec: str, universe_size: Optional[int] = None) -> SimplicialComplex:
-    return from_facets(letters(spec), universe_size)
+def from_letters(spec: str) -> SimplicialComplex:
+    return from_facets(letters(spec))
 
 
 _FIG_A2 = "CDG AEG CEG ADG ABD BCE ABC AEF CDF DEF"

@@ -36,7 +36,9 @@ def parse_facet_file(text: str, letters: bool = False) -> SimplicialComplex:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.lower().startswith("vertices:") and not facet_masks:
+        if line.lower().startswith("vertices:"):
+            if facet_masks:
+                raise ParseError("vertices header after facets", lineno)
             if explicit_header:
                 raise ParseError("duplicate vertices header", lineno)
             for tok in line.split(":", 1)[1].split():

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
 from math import comb
+from numbers import Real
 from operator import and_, or_
 from typing import Optional
 
@@ -68,20 +69,8 @@ class UpperBounds:
 
     d: int
     n: int
-    thm32: Optional[int] = None  # d=3: max(2n-10, n-2)
-    thm35: Optional[int] = None  # 2^(d-2) (n-d)
-    thm36: Optional[int] = None  # codim 5: 8
-    thm37: Optional[int] = None  # codim 6: 14
-    thm38: Optional[int] = None  # floor(3 * 2^((n-d-5)/2) * (n-d))
-    codim3: Optional[int] = None  # 3
-    codim4: Optional[int] = None  # 6
-    klee_walkup_reduced: Optional[int] = None  # best bound at (n-d, 2(n-d))
-    best: int = 0
-
-    def entries(self) -> dict[str, int]:
-        keys = ("thm32", "thm35", "thm36", "thm37", "thm38",
-                "codim3", "codim4", "klee_walkup_reduced")
-        return {k: getattr(self, k) for k in keys if getattr(self, k) is not None}
+    entries: dict[str, int]  # bound name -> value, for the bounds that apply
+    best: int
 
 
 def bounds(d: int, n: int) -> UpperBounds:
@@ -92,10 +81,6 @@ def bounds(d: int, n: int) -> UpperBounds:
     if d == 3:
         vals["thm32"] = max(2 * n - 10, n - 2)
     vals["thm35"] = (1 << (d - 2)) * k
-    if k == 3:
-        vals["codim3"] = 3
-    if k == 4:
-        vals["codim4"] = 6
     if k == 5:
         vals["thm36"] = 8
     if k == 6:
@@ -105,11 +90,15 @@ def bounds(d: int, n: int) -> UpperBounds:
         # halving argument behind it needs codim >= 4 (below that the
         # floored value undercuts true diameters, e.g. codim 1).
         vals["thm38"] = int(3 * 2 ** ((k - 5) / 2) * k)
+    if k == 3:
+        vals["codim3"] = 3
+    if k == 4:
+        vals["codim4"] = 6
     if k >= 2 and (k, 2 * k) != (d, n):
         # at (k, 2k) the reduction is a fixed point, so this recurses once
         vals["klee_walkup_reduced"] = bounds(k, 2 * k).best
     best = min(vals.values())
-    return UpperBounds(d=d, n=n, best=best, **vals)
+    return UpperBounds(d, n, vals, best)
 
 
 def verify_bounds(cx: SimplicialComplex, diam: Optional[int] = None) -> bool:
@@ -567,6 +556,10 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
         raise BadParams("need 2 <= d < n")
     budget = budget or SearchBudget()
     max_nodes, max_seconds = budget.max_nodes, budget.max_seconds
+    for value, kind in ((max_nodes, int), (max_seconds, Real)):
+        if value is not None and (not isinstance(value, kind)
+                                  or isinstance(value, bool)):
+            raise BadParams("search budgets must be numbers, not %r" % (value,))
     if (max_nodes is not None and max_nodes < 0
             or max_seconds is not None and not max_seconds >= 0):  # NaN too
         raise BadParams("search budgets must be >= 0")

@@ -26,15 +26,21 @@ from .complexes import (
     vertices_of,
 )
 from .dual_graph import bfs, build_dual_graph
-from .errors import BadParams, DimensionTooSmall, NotEquigenerated, NotPure
+from .errors import (
+    BadParams,
+    DimensionTooSmall,
+    EmptyInput,
+    NotEquigenerated,
+    NotPure,
+)
 
 
 @dataclass(frozen=True)
 class S2Verdict:
     holds: bool
-    #: (u, v, u∩v) of the lexicographically first failing pair, if any.
+    #: (u, v, u∩v) of the lexicographically first failing pair, if any;
+    #: None for a complex that fails by not being pure.
     witness: Optional[tuple[int, int, int]] = None
-    reason: Optional[str] = None
 
     def __bool__(self):
         return self.holds
@@ -89,10 +95,12 @@ def is_locally_connected(cx: SimplicialComplex) -> S2Verdict:
 def is_s2(cx: SimplicialComplex) -> S2Verdict:
     """(S2) = pure + locally connected facet-ridge graph."""
     sizes = {f.bit_count() for f in cx.facets}
+    if not sizes:
+        raise EmptyInput("(S2) of a complex with no facets")
     if max(sizes) < 2:
         raise DimensionTooSmall("need facet size >= 2")
     if len(sizes) != 1:
-        return S2Verdict(False, reason="not pure")
+        return S2Verdict(False)
     return is_locally_connected(cx)
 
 

@@ -43,6 +43,9 @@ def test_parse_error_exit_code(tmp_path, capsys):
     f = _write(tmp_path, "empty.txt", "# nothing\n")
     assert main(["check", f, "--property", "pure"]) == 2
     assert "error" in capsys.readouterr().err
+    late = _write(tmp_path, "late.txt", "A B C\nB C D\nvertices: A B C D\n")
+    assert main(["check", late, "--property", "pure"]) == 2
+    assert "line 3: vertices header after facets" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -21,9 +22,9 @@ from srdual.errors import (
     NotPure,
     UnknownNode,
 )
-from srdual.families import FamilyId, from_letters
+from srdual.families import FamilyId
 
-from conftest import induced_on_superfacets, track
+from conftest import corpus, induced_on_superfacets, random_pure_complex, track
 
 
 def _graph(name):
@@ -43,6 +44,7 @@ def test_disjoint_facets_yield_empty_edge_set():
     g = build_dual_graph(cx)
     assert g.node_count == 2 and g.edge_count == 0
     assert diameter(g) is UNBOUNDED
+    assert distance_pair(g, *g.node_facets) == (UNBOUNDED, None)
 
 
 def test_build_requires_pure_and_dimension():
@@ -73,7 +75,7 @@ def test_dim4_diameter_realized_by_known_pair():
     cx, g = _graph("dim4")
     abcd = mask_of([0, 1, 2, 3])
     efgh = mask_of([4, 5, 6, 7])
-    assert distance_pair(g, abcd, efgh) == 6
+    assert distance_pair(g, abcd, efgh)[0] == 6
 
 
 def test_empty_graph_rejected():
@@ -87,11 +89,11 @@ def test_distance_pair_examples():
     cx, g = _graph("fig_a2")
     abc = mask_of([0, 1, 2])
     ghj = mask_of([3, 4, 5])  # DEF
-    assert distance_pair(g, abc, ghj) == 5
-    assert distance_pair(g, abc, abc) == 0
+    assert distance_pair(g, abc, ghj)[0] == 5
+    assert distance_pair(g, abc, abc) == (0, [abc])
 
     cx5, g5 = _graph("fig_a5")
-    assert distance_pair(g5, mask_of([0, 1, 2]), mask_of([7, 8, 9])) == 9
+    assert distance_pair(g5, mask_of([0, 1, 2]), mask_of([7, 8, 9]))[0] == 9
 
 
 def test_distance_pair_unknown_node():
@@ -103,12 +105,12 @@ def test_distance_pair_unknown_node():
 def test_path_is_deterministic_and_valid():
     cx, g = _graph("fig_a2")
     a, b = mask_of([0, 1, 2]), mask_of([3, 4, 5])
-    dist, path = distance_pair(g, a, b, want_path=True)
+    dist, path = distance_pair(g, a, b)
     assert dist == 5 and len(path) == 6
     assert path[0] == a and path[-1] == b
     for u, v in zip(path, path[1:]):
         assert (u & v).bit_count() == g.d - 1
-    assert distance_pair(g, a, b, want_path=True)[1] == path  # stable
+    assert distance_pair(g, a, b)[1] == path  # stable
 
 
 def test_induced_on_superfacets_fig5():
@@ -137,13 +139,11 @@ def test_induced_monotone():
 
 def test_bfs_levels_depth_and_allowed_mask():
     adj = [0b0010, 0b0101, 0b1010, 0b0100]  # the path 0 - 1 - 2 - 3
-    levels = []
-    assert bfs(adj, 0b0001, 0b1111, levels) == (0b1111, 3)
-    assert levels == [0b0001, 0b0010, 0b0100, 0b1000]
+    assert bfs(adj, 0b0001, 0b1111) == (0b1111, [0b0001, 0b0010, 0b0100, 0b1000])
     # node 2 is not allowed, so the walk stops at 1
-    assert bfs(adj, 0b0001, 0b1011) == (0b0011, 1)
+    assert bfs(adj, 0b0001, 0b1011) == (0b0011, [0b0001, 0b0010])
     # a start mask of several nodes searches from all of them at once
-    assert bfs(adj, 0b1001, 0b1111) == (0b1111, 1)
+    assert bfs(adj, 0b1001, 0b1111) == (0b1111, [0b1001, 0b0110])
 
 
 def test_unbounded_is_not_an_integer():
@@ -194,3 +194,56 @@ def test_complementing_every_facet_keeps_the_dual_graph():
         assert {frozenset(full ^ f for f in e) for e in _edges(g)} == _edges(h)
         assert diameter(g) == diameter(h)
         checked += 1
+
+
+def _reference_paths(g, a):
+    """{b: (dist, path)} for every node b: a per-node distance table from
+    a queue BFS, each path walked back through the lowest-index neighbor
+    one step closer to a."""
+    ia = g.node_index(a)
+    dist_to = {ia: 0}
+    queue = deque([ia])
+    while queue:
+        i = queue.popleft()
+        for j in _bits(g.adjacency[i]):
+            if j not in dist_to:
+                dist_to[j] = dist_to[i] + 1
+                queue.append(j)
+    step_back = {j: next(k for k in _bits(g.adjacency[j])
+                         if dist_to.get(k) == dist - 1)
+                 for j, dist in dist_to.items() if dist}
+    paths = {}
+    for ib, b in enumerate(g.node_facets):
+        if ib not in dist_to:
+            paths[b] = UNBOUNDED, None
+            continue
+        path = [ib]
+        while path[-1] != ia:
+            path.append(step_back[path[-1]])
+        path.reverse()
+        paths[b] = dist_to[ib], [g.node_facets[i] for i in path]
+    return paths
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def test_paths_match_the_distance_table_walk():
+    rng = random.Random(71)
+    complexes = [cx for _, cx, _ in corpus()]
+    complexes += [random_pure_complex(rng, max_n=9) for _ in range(200)]
+    unbounded = 0
+    for cx in complexes:
+        g = build_dual_graph(cx)
+        for a in g.node_facets:
+            expected = _reference_paths(g, a)
+            for b in g.node_facets:
+                got = distance_pair(g, a, b)
+                assert got == expected[b], (cx, a, b)
+                unbounded += got[0] is UNBOUNDED
+    assert unbounded  # the random complexes include disconnected ones

@@ -51,6 +51,12 @@ def test_parse_errors_carry_line_numbers():
         parse_facet_file("vertices: A A\nA")
     with pytest.raises(ParseError):
         parse_facet_file("vertices: A B\nvertices: C D\nA B")
+    # a header after the facets is an error, not a facet named "vertices:"
+    for text, letters in [("A B C\nB C D\nvertices: A B C D\n", False),
+                          ("ABC\nBCD\nvertices: A B C D\n", True)]:
+        with pytest.raises(ParseError, match="vertices header after facets") as ei:
+            parse_facet_file(text, letters=letters)
+        assert ei.value.line == 3
 
 
 def test_round_trip_over_corpus():

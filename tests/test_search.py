@@ -42,17 +42,21 @@ def test_bounds_examples():
 
 def test_bounds_entries_applicability():
     b = bounds(4, 8)
-    e = b.entries()
+    e = b.entries
     assert e["codim4"] == 6 and e["thm35"] == 16
     assert "thm32" not in e  # d != 3
     assert "codim3" not in e
+    # insertion order is the key order of `bounds --json`
+    assert list(e) == ["thm35", "thm38", "codim4"]
+    assert list(bounds(3, 8).entries) == ["thm32", "thm35", "thm36", "thm38",
+                                          "klee_walkup_reduced"]
 
 
 def test_bounds_klee_walkup_fixed_point():
     b = bounds(4, 8)
-    assert b.klee_walkup_reduced is None or b.d != b.n - b.d
+    assert "klee_walkup_reduced" not in b.entries or b.d != b.n - b.d
     # (k, 2k) cells are fixed points of the reduction and must not recurse
-    assert bounds(6, 12).klee_walkup_reduced is None
+    assert "klee_walkup_reduced" not in bounds(6, 12).entries
 
 
 def test_bounds_rejects_bad_params():
@@ -312,10 +316,10 @@ class _ReferenceLeaves:
 
     def __call__(self, chosen):
         adj = self.adj
-        reached, ecc = bfs(adj, chosen & -chosen, chosen)
+        reached, levels = bfs(adj, chosen & -chosen, chosen)
         if reached != chosen:
             return None
-        if 2 * ecc < self.mu:
+        if 2 * (len(levels) - 1) < self.mu:
             return None
         for fs in self.face_stars:
             sub = fs & chosen
@@ -431,7 +435,7 @@ def _leaf_oracle(d, n, cands):
         f = chosen
         while f:
             b = f & -f
-            diam = max(diam, bfs(adj, b, chosen)[1])
+            diam = max(diam, len(bfs(adj, b, chosen)[1]) - 1)
             f ^= b
         return diam
     return oracle
@@ -665,7 +669,12 @@ def test_checkpoint_waits_for_an_incumbent(tmp_path):
 
 @pytest.mark.parametrize("budget", [SearchBudget(max_nodes=-1),
                                     SearchBudget(max_seconds=-0.5),
-                                    SearchBudget(max_seconds=float("nan"))])
+                                    SearchBudget(max_seconds=float("nan")),
+                                    SearchBudget(max_nodes=2.5),
+                                    SearchBudget(max_nodes="5"),
+                                    SearchBudget(max_nodes=True),
+                                    SearchBudget(max_seconds="1"),
+                                    SearchBudget(max_seconds=True)])
 def test_negative_budget_is_rejected(budget):
     with pytest.raises(BadParams):
         enumerate_mu(2, 5, budget=budget)

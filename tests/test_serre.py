@@ -28,7 +28,7 @@ from srdual import (
 )
 from srdual.complexes import compact, star_masks
 from srdual.dual_graph import bfs
-from srdual.errors import BadParams, DimensionTooSmall, NotEquigenerated
+from srdual.errors import BadParams, DimensionTooSmall, EmptyInput, NotEquigenerated
 from srdual.families import FamilyId
 from srdual.serre import _rank
 
@@ -62,9 +62,16 @@ def test_is_s2_corpus_figures():
 
 
 def test_is_s2_disconnected_and_non_pure():
-    assert not is_s2(from_facets([[0, 1], [2, 3]])).holds
+    # a pure failure names its first failing pair; a non-pure one has none
+    v = is_s2(from_facets([[0, 1], [2, 3]]))
+    assert not v.holds and v.witness == (0b0011, 0b1100, 0)
     v = is_s2(from_facets([[0, 1, 2], [3, 4]]))
-    assert not v.holds and v.reason == "not pure"
+    assert not v.holds and v.witness is None
+
+
+def test_is_s2_of_no_facets_is_a_typed_error():
+    with pytest.raises(EmptyInput):
+        is_s2(SimplicialComplex(0, ()))
 
 
 def test_s2_implies_connected_dual_graph():
@@ -447,7 +454,7 @@ def _reference_witness(cx):
     for i, u in enumerate(facets):
         for v in facets[i + 1:]:
             sub = induced_on_superfacets(g, u & v)
-            if distance_pair(sub, u, v) is UNBOUNDED:
+            if distance_pair(sub, u, v)[0] is UNBOUNDED:
                 return u, v, u & v
     return None
 
