@@ -23,23 +23,48 @@ the eccentricity probe (diameter <= 2 * eccentricity).  It runs once per
 face star for (S2): for each face s with 1 <= |s| <= d-2, the chosen
 facets holding s must be connected (those holding a (d-1)-face are
 pairwise adjacent), so each leaf searches from its lowest chosen facet
-of the star; the smallest stars go first and a block ends once no leaf
-passes.  It runs from every candidate, without a cap, for the exact
-diameters.  Once mu >= 1 the diameters drop the leaves of diameter
-below mu and those of diameter mu with more facets than the incumbent.
-None of those could change the incumbent, since mu only rises and while
-it holds the incumbent's facet count only falls; their diameter is at
-most mu, so none could break a proved bound either.  The survivors go,
+of the star, along the dual-graph edges inside the star; the smallest
+stars go first and a block ends once no leaf passes.  It runs from
+every candidate, without a cap, for the exact diameters.  Once mu >= 1
+the diameters drop the leaves of diameter below mu and those of
+diameter mu with more facets than the incumbent.  None of those could
+change the incumbent, since mu only rises and while it holds the
+incumbent's facet count only falls; their diameter is at most mu, so
+none could break a proved bound either.  The survivors go,
 in position order and with their diameters, through the proved bound
 and the tie-break: the smaller facet count, then vertex invariants read
 off the star masks, then the canonical form.
 
 A flat loop over the tasks feeds the blocks to the evaluator, counts the
 covering positions, keeps only the lowest ones a node budget allows and
-reads the clock once per block.  It checkpoints each finished task once
-there is an incumbent, so a checkpoint that marks tasks done always
-holds one; a checkpoint's incumbent re-enters through the evaluator as a
-block of one position.  A run is exhaustive exactly when no budget
+reads the clock once per block.  Tasks run in ascending order, bit l of
+a task saying that candidate 1+l is in, so the search visits the leaves
+in lex order of candidates levels, ..., 1, each excluded first, then of
+candidates levels+1, ..., m-1, each included first.  Between the budget
+and the evaluator sits the orbit filter: the group G = S_d x S_(n-d) of
+relabelings that fix {0..d-1} permutes the leaves, and a leaf goes on
+only if no transposition in G (of two vertices below d, or two from d
+on) maps it to a leaf visited earlier; the leaf count and the node
+budget still count every covering leaf.  This changes no output at any
+budget cut.  Every dropped leaf has an isomorphic copy earlier, so the
+first leaf of each G-orbit is kept.  The incumbent after any prefix of
+the visit order is the earliest leaf that minimises (-diameter, pre-key,
+canonical key); all three are isomorphism-invariant, so no leaf of its
+orbit comes before it, and it is kept.  So is the earliest leaf above
+the proved bound.  The filter runs per block in two stages: the block's
+fixed prefix decides each transposition up to the first pair of
+candidates it moves that touches the block, dropping the whole block or
+passing it; the transpositions still open walk the remaining pairs with
+an "equal so far" mask over the block's positions.
+
+The loop checkpoints each finished task once there is an incumbent, so a
+checkpoint that marks tasks done always holds one; a checkpoint's
+incumbent re-enters through the evaluator as a block of one position.
+Each finished task is recorded with its leaf count (`done T L`), and a
+resumed run starts its leaf count at their sum: it ends with an
+uninterrupted run's total, a node budget counts the recorded leaves,
+and a resumed exhaustive run that does not count leaf_count(d, n)
+leaves raises BadParams.  A run is exhaustive exactly when no budget
 stopped it before a leaf; an exhaustive run always has a witness, since
 the complex of all candidates is a connected (S2) leaf.
 """
@@ -52,7 +77,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from numbers import Real
 from operator import and_, or_
@@ -235,10 +260,10 @@ class SearchResult:
     elapsed: float
 
 
-CHECKPOINT_VERSION = "mu-search-v1"
+CHECKPOINT_VERSION = "mu-search-v2"
 _TASK_LEVELS = 3  # decisions fixed per task: 2^_TASK_LEVELS tasks
 _BLOCK_LEVELS = 10  # decisions a block varies: up to 2^_BLOCK_LEVELS leaves
-_DONE_LINE = re.compile(r"done (\d+)")
+_DONE_LINE = re.compile(r"done (\d+) (\d+)")
 _INCUMBENT_LINE = re.compile(r"incumbent (\d+)((?: [0-9a-f]+)*)")
 
 
@@ -253,13 +278,19 @@ def _block_levels(d, n):
 
 
 def _read_checkpoint(path, d, n):
-    done: set[int] = set()
+    """The finished tasks of a checkpoint, each with its leaf count, and
+    its incumbent (mu, facets), or (-1, None) if it holds none."""
+    done: dict[int, int] = {}
     incumbent = (-1, None)
     try:
         with open(path, errors="replace") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except FileNotFoundError:
         return done, incumbent
+    if lines and lines[0] == "mu-search-v1":
+        # v1 recorded no leaf counts, so its totals could not be checked
+        raise BadParams("checkpoint %s is in the old mu-search-v1 format; "
+                        "start the search again" % path)
     if len(lines) < 2 or lines[0] != CHECKPOINT_VERSION:
         raise BadParams("unrecognized checkpoint file")
     header = lines[1].split()
@@ -267,8 +298,9 @@ def _read_checkpoint(path, d, n):
         raise BadParams("checkpoint is for different parameters")
     tasks = 1 << _task_levels(d, n)
     for ln in lines[2:]:
-        if (m := _DONE_LINE.fullmatch(ln)) and int(m[1]) < tasks:
-            done.add(int(m[1]))
+        if ((m := _DONE_LINE.fullmatch(ln)) and int(m[1]) < tasks
+                and int(m[1]) not in done):
+            done[int(m[1])] = int(m[2])
         elif m := _INCUMBENT_LINE.fullmatch(ln):
             incumbent = (int(m[1]), tuple(int(x, 16) for x in m[2].split()))
         else:
@@ -282,7 +314,7 @@ def _write_checkpoint(path, d, n, done, incumbent):
     """Replace the checkpoint atomically: a crash mid-write keeps the old one."""
     lines = [CHECKPOINT_VERSION, "d=%d n=%d" % (d, n)]
     for t in sorted(done):
-        lines.append("done %d" % t)
+        lines.append("done %d %d" % (t, done[t]))
     mu, facets = incumbent
     lines.append("incumbent %d %s" % (mu, " ".join("%x" % f for f in facets)))
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
@@ -368,12 +400,18 @@ class _Leaves:
                           for a in adj)
         self.star = star_masks(self.cands, n)  # candidate-index mask per vertex
         # the candidate indices holding each face s with 1 <= |s| <= d-2,
-        # smallest face star first
-        face_stars = (reduce(and_, (self.star[v] for v in s))
-                      for k in range(1, d - 1)
-                      for s in combinations(range(n), k))
-        self.face_stars = sorted((tuple(i for i in range(m) if fs >> i & 1)
-                                  for fs in face_stars), key=len)
+        # smallest face star first, each with its neighbour lists cut
+        # down to the star
+        face_stars = sorted((reduce(and_, (self.star[v] for v in s))
+                             for k in range(1, d - 1)
+                             for s in combinations(range(n), k)),
+                            key=int.bit_count)
+        self.face_stars = []
+        for fs in face_stars:
+            star = tuple(i for i in range(m) if fs >> i & 1)
+            self.face_stars.append(
+                (star, {i: tuple(j for j in self.nbrs[i] if fs >> j & 1)
+                        for i in star}))
         self.best_bound = bounds(d, n).best
         # the incumbent: diameter, witness, invariant pre-key, canonical key
         self.mu, self.witness, self.prekey, self.key = -1, None, None, None
@@ -407,14 +445,14 @@ class _Leaves:
             live &= far0[min((mu + 1) // 2 - 1, len(far0) - 1)]
         # (S2): in each face star, the leaf's chosen candidates must all be
         # reached from the lowest of them
-        for star in self.face_stars:
+        for star, star_nbrs in self.face_stars:
             sub, frontier, seen = [0] * m, {}, 0
             for i in star:
                 sub[i] = p = pres[i] & live
                 if first := p & ~seen:
                     frontier[i] = first
                     seen |= first
-            live &= ~_sliced_bfs(nbrs, sub, frontier)[-1]
+            live &= ~_sliced_bfs(star_nbrs, sub, frontier)[-1]
             if not live:
                 return
         # wider[r]: the live leaves of diameter > r (every diameter is < m)
@@ -530,6 +568,69 @@ def _blocks(cands, levels, task, k):
             stack.append((idx + 1, chosen | 1 << idx, covered | cands[idx]))
 
 
+class _Orbits:
+    """The orbit filter: it keeps a leaf x only if no transposition tau of
+    G maps it to a leaf visited earlier.
+
+    G, the relabelings that fix {0..d-1} as a set, permutes the leaves;
+    its transpositions swap two vertices below d or two from d on.  The
+    search visits leaves in lex order of the candidates levels, ..., 1,
+    each excluded first, then levels+1, ..., m-1, each included first.
+    tau(x) holds candidate i exactly when x holds tau(i), so x and tau(x)
+    first differ at the earlier candidate, in that order, of a pair
+    {i, tau(i)} that x holds one of.  Each transposition is kept as its
+    moved pairs (w, o), one per pair, in that order: tau(x) comes first
+    if x holds w and not o, and x comes first if it holds o and not w.
+    `head` is the leading run of pairs below the block candidates, which
+    the block's prefix decides for all its leaves; `tail` is the rest.
+    """
+
+    def __init__(self, d, n, cands, levels, k):
+        m = len(cands)
+        self.base, self.inc = m - k, _slices(k)[0]
+        index = {c: i for i, c in enumerate(cands)}
+        self.swaps = []
+        for a, b in chain(combinations(range(d), 2),
+                          combinations(range(d, n), 2)):
+            ab = 1 << a | 1 << b
+            pairs, later = [], set()
+            for i in chain(range(levels, 0, -1), range(levels + 1, m)):
+                if (cands[i] & ab).bit_count() == 1 and i not in later:
+                    j = index[cands[i] ^ ab]
+                    later.add(j)
+                    pairs.append((i, j) if i <= levels else (j, i))
+            cut = next((p for p, pair in enumerate(pairs)
+                        if max(pair) >= self.base), len(pairs))
+            self.swaps.append((pairs[:cut], pairs[cut:]))
+
+    def leaders(self, prefix, covers):
+        """The positions of `covers` in the block `prefix` that no
+        transposition maps to an earlier leaf, as a mask."""
+        x = None  # x[i]: the positions holding candidate i (-1: all)
+        for head, tail in self.swaps:
+            tau_first = 0  # 1 if tau(x) comes first, -1 if x does
+            for w, o in head:
+                if tau_first := (prefix >> w & 1) - (prefix >> o & 1):
+                    break
+            if tau_first > 0:
+                return 0  # in every leaf of the block
+            if tau_first < 0:
+                continue
+            if x is None:
+                x = [-(prefix >> i & 1) for i in range(self.base)]
+                x += self.inc
+            eq = covers  # the leaves in which x and tau(x) agree so far
+            for w, o in tail:
+                xw, xo = x[w], x[o]
+                covers &= ~(eq & xw & ~xo)
+                eq &= ~(xw ^ xo)
+                if not eq:
+                    break
+            if not covers:
+                return 0
+        return covers
+
+
 def leaf_count(d: int, n: int) -> int:
     """The number of leaves of enumerate_mu(d, n).
 
@@ -567,20 +668,24 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
     leaves = _Leaves(d, n)
     levels = _task_levels(d, n)
     k = _block_levels(d, n)
-    done: set[int] = set()
+    orbits = _Orbits(d, n, leaves.cands, levels, k)
+    done: dict[int, int] = {}  # finished task -> its leaf count
     if checkpoint:
         done, (ck_mu, ck_facets) = _read_checkpoint(checkpoint, d, n)
         if ck_facets is not None:
             leaves.resume(ck_mu, ck_facets)
     resumed = bool(done)
 
-    nodes, stopped = 0, False
+    # a resumed run counts the leaves of the tasks it skips, so it ends
+    # with an uninterrupted run's total, and a node budget counts them too
+    nodes, stopped = sum(done.values()), False
     for t in range(1 << levels):
         if t in done:
             continue
+        start = nodes
         for prefix, covers in _blocks(leaves.cands, levels, t, k):
             left = None if max_nodes is None else max_nodes - nodes
-            if (left == 0 or max_seconds is not None
+            if (left is not None and left <= 0 or max_seconds is not None
                     and time.monotonic() - t_start > max_seconds):
                 stopped = True
                 break
@@ -592,16 +697,21 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
                     covers &= covers - 1
                 covers, stopped = keep, True
             nodes += covers.bit_count()
-            leaves.block(prefix, covers, k)
+            if covers := orbits.leaders(prefix, covers):
+                leaves.block(prefix, covers, k)
             if stopped:
                 break
         if stopped:
             break
-        done.add(t)
+        done[t] = nodes - start
         if checkpoint and leaves.witness is not None:
             _write_checkpoint(checkpoint, d, n, done,
                               (leaves.mu, leaves.witness.facets))
-    if not (stopped or resumed) and nodes != leaf_count(d, n):
+    if not stopped and nodes != leaf_count(d, n):
+        if resumed:
+            raise BadParams("checkpoint %s: the resumed mu(%d,%d) search "
+                            "counted %d leaves, not %d"
+                            % (checkpoint, d, n, nodes, leaf_count(d, n)))
         raise ContractViolation("exhaustive mu(%d,%d) search visited %d "
                                 "leaves, not %d" % (d, n, nodes,
                                                     leaf_count(d, n)))

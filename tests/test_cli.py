@@ -217,10 +217,10 @@ def test_check_connected(a2_file, tmp_path, capsys):
 
 
 def test_search_mu_bad_input_exit_code(tmp_path, capsys):
-    ck = _write(tmp_path, "ck.txt", "mu-search-v1\nd=2 n=5\ndone x\n")
+    ck = _write(tmp_path, "ck.txt", "mu-search-v2\nd=2 n=5\ndone x 1\n")
     # every task done but no incumbent line
-    no_incumbent = _write(tmp_path, "all.txt", "mu-search-v1\nd=2 n=5\n"
-                          + "".join("done %d\n" % t for t in range(8)))
+    no_incumbent = _write(tmp_path, "all.txt", "mu-search-v2\nd=2 n=5\n"
+                          + "".join("done %d 0\n" % t for t in range(8)))
     for extra in (["--checkpoint", ck], ["--budget-nodes", "-1"],
                   ["--checkpoint", no_incumbent],
                   ["--budget-seconds", "nan"]):

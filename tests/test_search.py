@@ -212,7 +212,7 @@ def test_checkpoint_survives_failed_write(tmp_path, monkeypatch):
     ck = str(tmp_path / "ck.txt")
     enumerate_mu(2, 5, checkpoint=ck)
     before = search._read_checkpoint(ck, 2, 5)
-    assert before[0] == set(range(8))
+    assert set(before[0]) == set(range(8))
 
     real_open = open
 
@@ -233,7 +233,7 @@ def test_checkpoint_survives_failed_write(tmp_path, monkeypatch):
 
     monkeypatch.setattr(search, "open", FailingWrites, raising=False)
     with pytest.raises(OSError):
-        search._write_checkpoint(ck, 2, 5, {0}, (1, (3, 6)))
+        search._write_checkpoint(ck, 2, 5, {0: 1}, (1, (3, 6)))
     monkeypatch.undo()
     assert search._read_checkpoint(ck, 2, 5) == before
     assert os.listdir(tmp_path) == ["ck.txt"]
@@ -407,6 +407,63 @@ def test_leaves_match_reference_evaluator(d, n, limit):
     fast.block(1, 1, 0)
     assert ref(1) == fast.mu == 0
     assert (fast.mu, fast.witness) == (ref.mu, ref.witness)
+
+
+def _swap_image(chosen, cands, index, a, b):
+    """The leaf `chosen` with vertices a and b exchanged in its facets."""
+    image = 0
+    for i in vertices_of(chosen):
+        c = cands[i]
+        if (c >> a & 1) != (c >> b & 1):
+            c ^= 1 << a | 1 << b
+        image |= 1 << index[c]
+    return image
+
+
+# the kept-leaf totals were counted by the relabeling reference below
+@pytest.mark.parametrize("d,n,kept", [(3, 5, 110), (2, 6, 745),
+                                      (4, 6, 977)])
+def test_orbit_filter_matches_the_relabeling_reference(d, n, kept):
+    # a leaf is kept exactly when no transposition of two vertices below
+    # d, or of two from d on, relabels it into a leaf the reference DFS
+    # visits earlier.  Checked at the search's block width and at width
+    # 2, where the block prefixes decide more pairs, and on random
+    # subsets of each block's positions, as a node budget cuts them
+    cands = [mask_of(c) for c in combinations(range(n), d)]
+    index = {c: i for i, c in enumerate(cands)}
+    leaves = list(_reference_leaves(d, n))
+    rank = {chosen: r for r, chosen in enumerate(leaves)}
+    swaps = [(a, b) for a, b in combinations(range(n), 2)
+             if (a < d) == (b < d)]
+    want = [x for x in leaves
+            if all(rank[_swap_image(x, cands, index, a, b)] >= rank[x]
+                   for a, b in swaps)]
+    assert len(want) == kept
+    rng = random.Random(d * 100 + n)
+    levels = search._task_levels(d, n)
+    for k in {search._block_levels(d, n), 2}:
+        orbits = search._Orbits(d, n, cands, levels, k)
+        got = []
+        for t in range(1 << levels):
+            for prefix, covers in search._blocks(cands, levels, t, k):
+                leaders = orbits.leaders(prefix, covers)
+                got += _block_leaves(len(cands), prefix, leaders, k)
+                cut = covers & rng.getrandbits(1 << k)
+                assert orbits.leaders(prefix, cut) == leaders & cut
+        assert got == want, k
+    # every isomorphism class keeps a leaf
+
+    def forms(chosen_leaves):
+        return {canonical_form(SimplicialComplex(n, tuple(
+            cands[i] for i in vertices_of(x)))).facets for x in chosen_leaves}
+    assert forms(want) == forms(leaves)
+
+
+def test_exhaustive_mu_2_8():
+    res = enumerate_mu(2, 8)
+    assert res.mu == 6 and res.exhaustive
+    assert res.nodes_explored == search.leaf_count(2, 8) == 128_162_249
+    assert res.witness.facets == (5, 10, 20, 40, 80, 160, 192)
 
 
 def _leaf_oracle(d, n, cands):
@@ -623,11 +680,11 @@ def _checkpoint(tmp_path, *lines):
 
 @pytest.mark.parametrize("lines", [
     (),  # no parameter line
-    ("d=2 n=5", "done x"),
+    ("d=2 n=5", "done x 1"),
     ("d=2 n=5", "incumbent 3 zz"),
-    ("d=2 n=5", "done 99"),  # tasks are 0..7
+    ("d=2 n=5", "done 99 1"),  # tasks are 0..7
     ("d=2 n=5", "todo 1"),
-    ("d=2 n=5", "done \xff"),  # not UTF-8
+    ("d=2 n=5", "done \xff 1"),  # not UTF-8
     ("d=2 n=5", "incumbent 3"),  # covers nothing
     ("d=2 n=5", "incumbent 3 5 a 14 1c"),  # 1c = {2,3,4} is no 2-set
     ("d=2 n=5", "incumbent 3 5 5 a 14 18"),  # a facet twice
@@ -635,6 +692,8 @@ def _checkpoint(tmp_path, *lines):
     ("d=2 n=5", "incumbent 9 3 6 c 18"),  # a path of diameter 3
     ("d=2 n=5", "incumbent 2 3 6 c 18"),
     ("d=2 n=5", "incumbent 2 5 6 c 18"),  # diameter 2, but no {0,1}
+    ("d=2 n=5", "done 1"),  # no leaf count
+    ("d=2 n=5", "done 1 5", "done 1 5"),  # a task twice
 ])
 def test_bad_checkpoint_is_rejected(tmp_path, lines):
     with pytest.raises(BadParams):
@@ -649,7 +708,9 @@ def test_exhaustive_run_without_witness_is_rejected(tmp_path, d, n, tasks):
     # found: with every task of (2,5) done the run would end with no
     # witness, and with tasks 0..6 of (2,6) done it would end exhaustive
     # with mu=3, though mu(2,6)=4
-    lines = ["d=%d n=%d" % (d, n)] + ["done %d" % t for t in tasks]
+    counts = _task_leaf_counts(d, n)
+    lines = ["d=%d n=%d" % (d, n)] + ["done %d %d" % (t, counts[t])
+                                      for t in tasks]
     with pytest.raises(BadParams):
         enumerate_mu(d, n, checkpoint=_checkpoint(tmp_path, *lines))
 
@@ -665,6 +726,57 @@ def test_checkpoint_waits_for_an_incumbent(tmp_path):
     resumed, full = enumerate_mu(2, 3, checkpoint=ck), enumerate_mu(2, 3)
     assert resumed.exhaustive and resumed.mu == full.mu == 1
     assert resumed.witness.facets == full.witness.facets
+
+
+def _task_leaf_counts(d, n):
+    """The number of leaves of each task of (d, n), read off its blocks."""
+    cands = [mask_of(c) for c in combinations(range(n), d)]
+    levels, k = search._task_levels(d, n), search._block_levels(d, n)
+    return [sum(covers.bit_count()
+                for _, covers in search._blocks(cands, levels, t, k))
+            for t in range(1 << levels)]
+
+
+def test_old_checkpoint_format_is_rejected(tmp_path):
+    # mu-search-v1 recorded no leaf counts: this file, tasks 0..6 of (2,6)
+    # done with a valid mu = 3 incumbent, resumed to an exhaustive mu = 3
+    # after 1,984 leaves, though mu(2,6) = 4
+    ck = tmp_path / "ck.txt"
+    ck.write_text("mu-search-v1\nd=2 n=6\n"
+                  + "".join("done %d\n" % t for t in range(7))
+                  + "incumbent 3 3 5 9 12 24\n")
+    with pytest.raises(BadParams, match="mu-search-v1"):
+        enumerate_mu(2, 6, checkpoint=str(ck))
+
+
+def test_resumed_leaf_total_is_checked(tmp_path):
+    # an exhaustive resumed run must count L(d,n) leaves, those its
+    # checkpoint records included; a budgeted one is not held to it
+    ck = _checkpoint(tmp_path, "d=2 n=6", "incumbent 3 3 5 9 12 24",
+                     *("done %d 0" % t for t in range(7)))
+    assert not enumerate_mu(2, 6, SearchBudget(max_nodes=100),
+                            checkpoint=ck).exhaustive
+    with pytest.raises(BadParams, match="ck.txt"):
+        enumerate_mu(2, 6, checkpoint=ck)
+
+
+def test_resumed_run_ends_as_an_uninterrupted_one(tmp_path):
+    # a run cut by its node budget and resumed, with a larger budget and
+    # then with none, ends with the uninterrupted run's incumbent and
+    # nodes_explored; the checkpoint records each task's leaf count
+    ck = str(tmp_path / "ck.txt")
+    enumerate_mu(2, 6, SearchBudget(max_nodes=6000), checkpoint=ck)
+    done, _ = search._read_checkpoint(ck, 2, 6)
+    counts = _task_leaf_counts(2, 6)
+    assert done and done == {t: counts[t] for t in done}
+    for budget in (10000, None):
+        want = enumerate_mu(2, 6, SearchBudget(max_nodes=budget))
+        got = enumerate_mu(2, 6, SearchBudget(max_nodes=budget),
+                           checkpoint=ck)
+        assert (got.mu, got.witness.facets, got.nodes_explored,
+                got.exhaustive) == (want.mu, want.witness.facets,
+                                    want.nodes_explored, want.exhaustive)
+    assert got.nodes_explored == search.leaf_count(2, 6)
 
 
 @pytest.mark.parametrize("budget", [SearchBudget(max_nodes=-1),
