@@ -287,12 +287,10 @@ def _read_checkpoint(path, d, n):
             lines = [ln.strip() for ln in fh if ln.strip()]
     except FileNotFoundError:
         return done, incumbent
-    if lines and lines[0] == "mu-search-v1":
-        # v1 recorded no leaf counts, so its totals could not be checked
-        raise BadParams("checkpoint %s is in the old mu-search-v1 format; "
-                        "start the search again" % path)
     if len(lines) < 2 or lines[0] != CHECKPOINT_VERSION:
-        raise BadParams("unrecognized checkpoint file")
+        # mu-search-v1 files too: they record no leaf counts
+        raise BadParams("checkpoint %s is not a %s file"
+                        % (path, CHECKPOINT_VERSION))
     header = lines[1].split()
     if header != ["d=%d" % d, "n=%d" % n]:
         raise BadParams("checkpoint is for different parameters")

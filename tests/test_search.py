@@ -745,7 +745,7 @@ def test_old_checkpoint_format_is_rejected(tmp_path):
     ck.write_text("mu-search-v1\nd=2 n=6\n"
                   + "".join("done %d\n" % t for t in range(7))
                   + "incumbent 3 3 5 9 12 24\n")
-    with pytest.raises(BadParams, match="mu-search-v1"):
+    with pytest.raises(BadParams, match="not a mu-search-v2 file"):
         enumerate_mu(2, 6, checkpoint=str(ck))
 
 
