@@ -9,8 +9,12 @@ assumption.
 
 Homology has one sparse, fraction-free integer elimination for Q and
 every GF(p).  Betti numbers come from a face list with the empty face
-added; the Buchsbaum check reads each link's faces off the complex's
-one face list.
+added.  The two lowest boundary ranks come from connectivity, not
+elimination: 1 when there is a vertex, and the vertices less the
+components of the 1-skeleton, by a union-find over the edges.  Only
+the boundaries from faces of 3 or more vertices are eliminated, so a
+graph's homology takes none.  The Buchsbaum check builds every link's
+face list in one pass over the complex's face list.
 """
 
 from __future__ import annotations
@@ -222,10 +226,27 @@ def _rank(rows, field):
 def _betti(faces, field):
     """Reduced Betti numbers, from dimension -1 up, of the complex whose
     nonempty faces are `faces`, listed by size.  Faces are numbered
-    within their size, the empty face being the one face of size 0."""
+    within their size, the empty face being the one face of size 0.
+
+    The two lowest boundaries need no elimination.  The one from size 1
+    to size 0 has rank 1 when there is a vertex.  The one from size 2 to
+    size 1 is the signed incidence matrix of the 1-skeleton, whose rank
+    over every field is the number of vertices less the number of
+    components: the edges that join two components of a union-find
+    over the vertices.  `_rank` eliminates only the rows of faces of 3
+    or more vertices.
+    """
     index = {0: 0}
     counts = [1]
     rows: list[list[dict[int, int]]] = [[]]
+    root: list[int] = []  # union-find over the vertices, by number
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    joins = 0  # rank of the boundary from size 2 to size 1
     for face in faces:
         k = face.bit_count()
         if k == len(counts):
@@ -233,14 +254,24 @@ def _betti(faces, field):
             rows.append([])
         index[face] = counts[k]
         counts[k] += 1
-        row = {}
-        sign = 1
-        for v in vertices_of(face):
-            row[index[face ^ (1 << v)]] = sign
-            sign = -sign
-        rows[k].append(row)
+        if k == 1:
+            root.append(len(root))
+        elif k == 2:
+            low = face & -face
+            a, b = find(index[low]), find(index[face ^ low])
+            if a != b:
+                root[a] = b
+                joins += 1
+        else:
+            row = {}
+            sign = 1
+            for v in vertices_of(face):
+                row[index[face ^ (1 << v)]] = sign
+                sign = -sign
+            rows[k].append(row)
     # ranks[k] = rank of the boundary from size k to size k-1
-    ranks = [_rank(r, field) for r in rows] + [0]
+    ranks = [0, 1, joins] + [_rank(r, field) for r in rows[3:]]
+    ranks = ranks[:len(counts)] + [0]
     return tuple(c - ranks[k] - ranks[k + 1] for k, c in enumerate(counts))
 
 
@@ -256,7 +287,11 @@ def is_buchsbaum(cx: SimplicialComplex, field: int = 0) -> bool:
     The faces of lk F are g ^ F for the faces g ⊋ F.  The link of a
     k-face has dimension d-k-1.  Only faces of at most d-2 vertices are
     checked: links of larger faces (point sets and {∅}) have no lower
-    homology.
+    homology.  Every link is built in one pass over the face list: each
+    face g adds g ^ s to the link of each proper nonempty submask s of
+    at most d-2 vertices, so each link's faces come out listed by size.
+    The link of a vertex of a 2-dimensional complex is a graph, whose
+    homology `_betti` reads off its connectivity, with no elimination.
     """
     _check_field(field)
     d = cx.d
@@ -265,12 +300,17 @@ def is_buchsbaum(cx: SimplicialComplex, field: int = 0) -> bool:
     if d < 2:
         raise DimensionTooSmall("need facet size >= 2")
     faces = cx.faces()
-    for face in faces:
-        k = face.bit_count()
-        if k > d - 2:
-            break
-        link_faces = [g ^ face for g in faces if g & face == face and g != face]
-        if any(_betti(link_faces, field)[:d - k]):
+    links: dict[int, list[int]] = {f: [] for f in faces
+                                   if f.bit_count() <= d - 2}
+    for g in faces:
+        s = (g - 1) & g
+        while s:
+            link_faces = links.get(s)
+            if link_faces is not None:
+                link_faces.append(g ^ s)
+            s = (s - 1) & g
+    for face, link_faces in links.items():
+        if any(_betti(link_faces, field)[:d - face.bit_count()]):
             return False
     return True
 

@@ -228,6 +228,14 @@ def test_search_mu_bad_input_exit_code(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_search_mu_names_a_checkpoint_it_cannot_write(tmp_path, capsys):
+    ck = str(tmp_path / "missing" / "ck.txt")
+    assert main(["search-mu", "--d", "3", "--n", "7", "--budget-seconds",
+                 "0.5", "--checkpoint", ck]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint %s:" % ck) and ".tmp" not in err
+
+
 def test_shared_parser_keeps_no_state_between_calls(a2_file, capsys,
                                                     monkeypatch):
     """One process-long sequence of main calls: each gives what the same

@@ -26,7 +26,8 @@ from srdual import (
     reduced_betti,
     vertices_of,
 )
-from srdual.complexes import compact, star_masks
+from srdual import serre
+from srdual.complexes import antichain, compact, star_masks
 from srdual.dual_graph import bfs
 from srdual.errors import BadParams, DimensionTooSmall, EmptyInput, NotEquigenerated
 from srdual.families import FamilyId
@@ -282,12 +283,41 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _random_non_pure_complex(rng):
+    """Seeded facets of 1 to 4 of at most 7 vertices, of mixed sizes, so
+    that the 1-skeleton often has several components or isolated
+    vertices."""
+    while True:
+        n = rng.randint(2, 7)
+        masks = [mask_of(rng.sample(range(n), rng.randint(1, min(4, n))))
+                 for _ in range(rng.randint(2, 6))]
+        cx = compact(antichain(masks))
+        if cx.d is None:
+            return cx
+
+
+#: Complexes whose 1-skeleton is disconnected or has isolated vertices.
+_SPLIT_SKELETONS = [
+    from_facets([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]),
+    from_facets([[0, 1, 2], [3, 4]]),
+    from_facets([[0, 1], [1, 2], [0, 2], [3, 4]]),
+    from_facets([[0, 1, 2], [0, 3, 4]]),  # the link of 0 is two edges
+    from_facets([[0, 1, 2], [3, 4, 5]]),
+    from_facets([[0, 1], [2]]),
+    from_facets([[0], [1], [2]]),
+    from_facets([[0]]),
+    SimplicialComplex(0, (0,)),
+]
+
+
 def test_homology_matches_reference_dense_elimination():
     rng = random.Random(53)
     complexes = [random_pure_complex(rng, dims=(d,))
                  for d in (2, 3, 4, 5) for _ in range(40)]
     complexes += [cx for _, cx, _ in corpus() if len(cx.facets) <= 40]
     complexes += [_RP2, SimplicialComplex(0, (0,)), from_facets([[0]])]
+    complexes += _SPLIT_SKELETONS
+    complexes += [_random_non_pure_complex(rng) for _ in range(200)]
     verdicts = {d: set() for d in range(6)}
     for cx in complexes:
         for field in (0, 2, 3):
@@ -300,6 +330,36 @@ def test_homology_matches_reference_dense_elimination():
             if cx.d is not None:
                 verdicts[cx.d].add(want)
     assert verdicts[4] == verdicts[5] == {True, False}
+
+
+def test_graph_homology_needs_no_elimination(monkeypatch):
+    # the two lowest boundary ranks come from connectivity: a graph's
+    # homology, and so every vertex link of a 2-dimensional complex,
+    # never reaches _rank
+    calls = []
+    rank = serre._rank
+
+    def counted(rows, field):
+        calls.append(field)
+        return rank(rows, field)
+
+    monkeypatch.setattr(serre, "_rank", counted)
+    rng = random.Random(67)
+    graphs = [random_pure_complex(rng, dims=(2,)) for _ in range(20)]
+    graphs += [cx for cx in _SPLIT_SKELETONS
+               if max(f.bit_count() for f in cx.facets) <= 2]
+    complexes = [build(FamilyId("fig_a2"), check=False), _RP2]
+    complexes += [random_pure_complex(rng, dims=(3,)) for _ in range(20)]
+    verdicts = set()
+    for field in (0, 2):
+        for cx in graphs:
+            reduced_betti(cx, field)
+        for cx in complexes:
+            assert cx.d == 3
+            verdicts.add(is_buchsbaum(cx, field))
+    assert calls == [] and verdicts == {True, False}
+    reduced_betti(_RP2, 2)  # the boundary from size 3 still needs it
+    assert calls == [2]
 
 
 @contextmanager
