@@ -67,8 +67,8 @@ and a resumed exhaustive run that does not count leaf_count(d, n)
 leaves raises BadParams.  A run is exhaustive exactly when no budget
 stopped it before a leaf; an exhaustive run always has a witness, since
 the complex of all candidates is a connected (S2) leaf.  A checkpoint
-whose directory is missing or not writable raises BadParams before the
-first task.
+that is a directory, or whose directory is missing or not writable,
+raises BadParams before the first task.
 """
 
 from __future__ import annotations
@@ -666,10 +666,10 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
         raise BadParams("search budgets must be >= 0")
     if checkpoint:
         folder = os.path.dirname(os.path.abspath(checkpoint))
-        if not (os.path.isdir(folder)
-                and os.access(folder, os.W_OK | os.X_OK)):
-            raise BadParams("checkpoint %s: directory %s is missing or not "
-                            "writable" % (checkpoint, folder))
+        if (os.path.isdir(checkpoint) or not os.path.isdir(folder)
+                or not os.access(folder, os.W_OK | os.X_OK)):
+            raise BadParams("checkpoint %s: not a file in a writable "
+                            "directory" % checkpoint)
     t_start = time.monotonic()
     leaves = _Leaves(d, n)
     levels = _task_levels(d, n)

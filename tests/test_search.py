@@ -247,18 +247,21 @@ def test_checkpoint_parameter_mismatch(tmp_path):
         enumerate_mu(2, 6, checkpoint=ck)
 
 
-def test_checkpoint_in_a_missing_directory_fails_before_the_search(tmp_path):
+def test_unwritable_checkpoint_path_fails_before_the_search(tmp_path):
     # μ(3,7) runs for minutes; the bad path must be named up front, and
     # not as the temporary file of the first checkpoint write.  The time
     # budget stops the search before its first checkpoint write would fail
     (tmp_path / "file").write_text("")
-    for ck in (tmp_path / "missing" / "ck.txt", tmp_path / "file" / "ck.txt"):
+    (tmp_path / "dir").mkdir()
+    for ck in (tmp_path / "missing" / "ck.txt", tmp_path / "file" / "ck.txt",
+               tmp_path / "dir"):
         t0 = time.perf_counter()
         with pytest.raises(BadParams, match="checkpoint %s:" % ck):
             enumerate_mu(3, 7, SearchBudget(max_seconds=0.5),
                          checkpoint=str(ck))
         assert time.perf_counter() - t0 < 1
-    assert os.listdir(tmp_path) == ["file"]
+    assert sorted(os.listdir(tmp_path)) == ["dir", "file"]
+    assert os.listdir(tmp_path / "dir") == []
 
 
 def test_mu_dominates_table_witness():

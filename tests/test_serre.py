@@ -305,8 +305,6 @@ _SPLIT_SKELETONS = [
     from_facets([[0, 1, 2], [3, 4, 5]]),
     from_facets([[0, 1], [2]]),
     from_facets([[0], [1], [2]]),
-    from_facets([[0]]),
-    SimplicialComplex(0, (0,)),
 ]
 
 
