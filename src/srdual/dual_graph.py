@@ -3,6 +3,14 @@
 Nodes carry the facet labels; the complement labels (the minimal-prime
 side) are derivable and only used for display.  Adjacency is stored as
 one bitmask of node indices per node.
+
+`diameter` is exact but does not sweep from every node: a sweep bounds
+the eccentricity of each node by the source's eccentricity plus the
+node's distance to it, and sources that cannot beat the largest
+eccentricity found are skipped (the bound rule of Takes and Kosters,
+"Determining the diameter of small world networks", 2011).  A long,
+path-like dual graph, as of the glued families, takes about three
+sweeps; a vertex-transitive one still takes one per node.
 """
 
 from __future__ import annotations
@@ -98,23 +106,65 @@ def bfs(adj, start: int, allowed: int):
 
 def eccentricity(g: DualGraph, start: int):
     """Max BFS distance from `start`; UNBOUNDED if some node is unreachable."""
+    if (isinstance(start, bool) or not isinstance(start, int)
+            or not 0 <= start < g.node_count):
+        raise UnknownNode("not a node index: %r" % (start,))
     everything = (1 << g.node_count) - 1
     reached, levels = bfs(g.adjacency, 1 << start, everything)
     return len(levels) - 1 if reached == everything else UNBOUNDED
 
 
 def diameter(g: DualGraph):
-    """Max over node pairs of BFS distance; UNBOUNDED when disconnected."""
+    """Max over node pairs of BFS distance; UNBOUNDED when disconnected.
+
+    Exact, from eccentricity bounds: a node at distance r from a source
+    of eccentricity e has eccentricity at most e + r.  `candidates` holds
+    the nodes that might still beat `best`, the largest eccentricity
+    swept so far.  Each sweep from v removes the ball of radius best - e
+    around v (levels 0 .. best - e), so v itself; when `best` grows, the
+    levels of every earlier sweep are re-applied.  The next source is a
+    candidate on the last sweep's farthest level (it raises `best`) and
+    on its level nearest the middle (a near-centre, whose ball prunes) in
+    turn.  The first sweep, from node 0, decides UNBOUNDED.  Every sweep
+    removes its source, so there are at most node_count of them; on a
+    vertex-transitive graph there are exactly that many.
+    """
     if g.node_count == 0:
         raise EmptyGraph("diameter of the empty graph")
+    adj = g.adjacency
+    everything = (1 << g.node_count) - 1
+    reached, levels = bfs(adj, 1, everything)
+    if reached != everything:
+        return UNBOUNDED
     best = 0
-    for i in range(g.node_count):
-        e = eccentricity(g, i)
-        if e is UNBOUNDED:
-            return UNBOUNDED
+    candidates = everything
+    sweeps = []  # the levels of every sweep so far
+    far = True
+    while True:
+        e = len(levels) - 1
+        sweeps.append(levels)
         if e > best:
             best = e
-    return best
+            for lv in sweeps:  # levels 0 .. best - (len(lv) - 1)
+                for level in lv[:best - len(lv) + 2]:
+                    candidates &= ~level
+        else:
+            for level in levels[:best - e + 1]:
+                candidates &= ~level
+        if not candidates:
+            return best
+        if far:
+            k = e
+            while not levels[k] & candidates:
+                k -= 1
+        else:  # outward from the middle level, e // 2
+            for i in range(e + 1):
+                k = (e + i) // 2 if (e + i) % 2 == 0 else (e - i) // 2
+                if levels[k] & candidates:
+                    break
+        far = not far
+        nxt = levels[k] & candidates
+        _, levels = bfs(adj, nxt & -nxt, everything)
 
 
 def distance_pair(g: DualGraph, a: int, b: int):

@@ -77,7 +77,8 @@ def export_graph(g: DualGraph, fmt: str = "dot", labels: str = "facet") -> str:
     """Deterministic DOT or JSON text for a dual graph.
 
     labels='facet' prints the facet-ridge labels; 'complement' prints the
-    minimal-prime (complement) labels.
+    minimal-prime (complement) labels.  DOT labels are quoted strings,
+    so a backslash or double quote in a vertex name is escaped.
     """
     comp = labels == "complement"
     node_labels = [g.node_label(i, complement=comp) for i in range(g.node_count)]
@@ -93,6 +94,7 @@ def export_graph(g: DualGraph, fmt: str = "dot", labels: str = "facet") -> str:
     if fmt == "dot":
         lines = ["graph dual {"]
         for i, lab in enumerate(node_labels):
+            lab = lab.replace("\\", "\\\\").replace('"', '\\"')
             lines.append('  n%d [label="%s"];' % (i, lab))
         for i, j in edges:
             lines.append("  n%d -- n%d;" % (i, j))

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import pytest
 
@@ -120,6 +121,18 @@ def test_dual_graph_exports(a2_file, capsys):
                  "--labels", "complement"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["nodes"]) == 10 and len(doc["edges"]) == 12
+
+
+def test_dual_graph_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    f = _write(tmp_path, "odd.txt", 'a"b c d\nc d e\\f\n')
+    assert main(["dual-graph", f, "--format", "dot"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ['  n0 [label="a\\"b c d"];',
+                          '  n1 [label="c d e\\\\f"];']
+    quoted = re.compile(r'  n\d+ \[label="(?:[^"\\]|\\.)*"\];')
+    assert all(quoted.fullmatch(line) for line in lines[1:3])
+    assert main(["dual-graph", f, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["names"] == ['a"b', "c", "d", "e\\f"]
 
 
 def test_alexander_dual(a2_file, capsys):

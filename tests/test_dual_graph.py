@@ -15,6 +15,7 @@ from srdual import (
     from_masks,
     mask_of,
 )
+from srdual import dual_graph
 from srdual.dual_graph import bfs
 from srdual.errors import (
     DimensionTooSmall,
@@ -22,7 +23,7 @@ from srdual.errors import (
     NotPure,
     UnknownNode,
 )
-from srdual.families import FamilyId
+from srdual.families import TABLE1, FamilyId, expected_diameter
 
 from conftest import corpus, induced_on_superfacets, random_pure_complex, track
 
@@ -157,6 +158,13 @@ def test_eccentricity_matches_diameter():
     track(cx, 7)
 
 
+@pytest.mark.parametrize("start", [4, -1, 1.0, True, "0", None])
+def test_eccentricity_rejects_a_start_that_is_not_a_node(start):
+    cx, g = _graph("fig_a1")  # 4 nodes
+    with pytest.raises(UnknownNode):
+        eccentricity(g, start)
+
+
 def test_complement_labels():
     cx, g = _graph("fig_a2")
     i = g.node_index(mask_of([0, 1, 2]))
@@ -233,6 +241,12 @@ def _bits(mask):
         mask ^= low
 
 
+def _table_diameter(dists):
+    """The diameter a full distance table states."""
+    dists = list(dists)
+    return UNBOUNDED if any(d is UNBOUNDED for d in dists) else max(dists)
+
+
 def test_paths_match_the_distance_table_walk():
     rng = random.Random(71)
     complexes = [cx for _, cx, _ in corpus()]
@@ -240,10 +254,82 @@ def test_paths_match_the_distance_table_walk():
     unbounded = 0
     for cx in complexes:
         g = build_dual_graph(cx)
+        table = []
         for a in g.node_facets:
             expected = _reference_paths(g, a)
             for b in g.node_facets:
                 got = distance_pair(g, a, b)
                 assert got == expected[b], (cx, a, b)
                 unbounded += got[0] is UNBOUNDED
+                table.append(got[0])
+        assert diameter(g) == _table_diameter(table), cx
     assert unbounded  # the random complexes include disconnected ones
+
+
+def _cycle(n):
+    return from_facets([[i, (i + 1) % n] for i in range(n)])
+
+
+#: (name, complex, stated diameter or None, vertex-transitive dual graph)
+DIAMETER_CASES = (
+    [("single node", from_facets([[0, 1, 2]]), 0, True),
+     ("two nodes", from_facets([[0, 1, 2], [0, 1, 3]]), 1, True)]
+    + [("path P%d" % n, from_facets([[i, i + 1] for i in range(n)]), n - 1,
+        False) for n in range(2, 13)]
+    + [("cycle C%d" % n, _cycle(n), n // 2, True) for n in range(5, 13)]
+    + [("all %d-sets of %d" % (d, n), from_facets(combinations(range(n), d)),
+        None, True) for n, d in ((5, 2), (6, 3), (7, 3), (8, 2), (9, 4))]
+    + [(str(fam), build(fam, check=False), expected_diameter(fam), False)
+       for fam in [FamilyId(name, k=k, j=j)
+                   for name, js in (("glued_d4", (0, 1)), ("glued_d3", (0, 1)),
+                                    ("glued_d3_g0", (4, 5)))
+                   for k in range(1, 7) for j in js]]
+    + [(str(fam), build(fam, check=False), expected_diameter(fam), False)
+       for fam in [FamilyId("table1_witness", d=d, n=n) for d, n in TABLE1]]
+)
+
+
+@pytest.mark.parametrize("name, cx, stated, transitive", DIAMETER_CASES,
+                         ids=[case[0] for case in DIAMETER_CASES])
+def test_diameter_matches_the_distance_table(name, cx, stated, transitive):
+    g = build_dual_graph(cx)
+    table = [d for a in g.node_facets for d, _ in _reference_paths(g, a).values()]
+    assert diameter(g) == _table_diameter(table)
+    if stated is not None:
+        assert diameter(g) == stated
+
+
+def _counted_sweeps(g, monkeypatch):
+    """(diameter, number of bfs sweeps it ran)."""
+    calls = []
+
+    def counting_bfs(*args):
+        calls.append(args)
+        return bfs(*args)
+
+    monkeypatch.setattr(dual_graph, "bfs", counting_bfs)
+    return diameter(g), len(calls)
+
+
+@pytest.mark.parametrize("name, cx, stated, transitive", DIAMETER_CASES,
+                         ids=[case[0] for case in DIAMETER_CASES])
+def test_diameter_sweeps_at_most_once_per_node(name, cx, stated, transitive,
+                                               monkeypatch):
+    g = build_dual_graph(cx)
+    _, sweeps = _counted_sweeps(g, monkeypatch)
+    assert 1 <= sweeps <= g.node_count
+    if transitive:  # every eccentricity is the diameter: nothing is bounded
+        assert sweeps == g.node_count
+
+
+def test_diameter_prunes_sweeps_on_a_long_glued_chain(monkeypatch):
+    cx = build(FamilyId("glued_d4", k=6, j=1), check=False)
+    g = build_dual_graph(cx)
+    assert g.node_count == 104
+    diam, sweeps = _counted_sweeps(g, monkeypatch)
+    assert diam == 37 and sweeps <= 6
+
+
+def test_diameter_of_a_disconnected_graph_takes_one_sweep(monkeypatch):
+    g = build_dual_graph(from_facets([[0, 1, 2], [0, 1, 3], [4, 5, 6]]))
+    assert _counted_sweeps(g, monkeypatch) == (UNBOUNDED, 1)
