@@ -122,12 +122,13 @@ def diameter(g: DualGraph):
     the nodes that might still beat `best`, the largest eccentricity
     swept so far.  Each sweep from v removes the ball of radius best - e
     around v (levels 0 .. best - e), so v itself; when `best` grows, the
-    levels of every earlier sweep are re-applied.  The next source is a
-    candidate on the last sweep's farthest level (it raises `best`) and
-    on its level nearest the middle (a near-centre, whose ball prunes) in
-    turn.  The first sweep, from node 0, decides UNBOUNDED.  Every sweep
-    removes its source, so there are at most node_count of them; on a
-    vertex-transitive graph there are exactly that many.
+    levels of every earlier sweep are re-applied.  Later sources
+    alternate between a candidate on the farthest level of the last
+    sweep that holds one (it raises `best`) and one on its level nearest
+    the middle (a near-centre, whose ball prunes).  The first sweep, from
+    node 0, decides UNBOUNDED.  Every sweep removes its source, so there
+    are at most node_count of them; on a vertex-transitive graph there
+    are exactly that many.
     """
     if g.node_count == 0:
         raise EmptyGraph("diameter of the empty graph")

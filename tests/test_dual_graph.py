@@ -243,11 +243,23 @@ def _bits(mask):
 
 def _table_diameter(dists):
     """The diameter a full distance table states."""
-    dists = list(dists)
     return UNBOUNDED if any(d is UNBOUNDED for d in dists) else max(dists)
 
 
-def test_paths_match_the_distance_table_walk():
+def _counted_sweeps(g, monkeypatch):
+    """(diameter, number of bfs sweeps it ran)."""
+    calls = []
+
+    def counting_bfs(*args):
+        calls.append(args)
+        return bfs(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(dual_graph, "bfs", counting_bfs)
+        return diameter(g), len(calls)
+
+
+def test_paths_match_the_distance_table_walk(monkeypatch):
     rng = random.Random(71)
     complexes = [cx for _, cx, _ in corpus()]
     complexes += [random_pure_complex(rng, max_n=9) for _ in range(200)]
@@ -262,7 +274,9 @@ def test_paths_match_the_distance_table_walk():
                 assert got == expected[b], (cx, a, b)
                 unbounded += got[0] is UNBOUNDED
                 table.append(got[0])
-        assert diameter(g) == _table_diameter(table), cx
+        diam, sweeps = _counted_sweeps(g, monkeypatch)
+        assert diam == _table_diameter(table), cx
+        assert 1 <= sweeps <= g.node_count
     assert unbounded  # the random complexes include disconnected ones
 
 
@@ -291,32 +305,14 @@ DIAMETER_CASES = (
 
 @pytest.mark.parametrize("name, cx, stated, transitive", DIAMETER_CASES,
                          ids=[case[0] for case in DIAMETER_CASES])
-def test_diameter_matches_the_distance_table(name, cx, stated, transitive):
+def test_diameter_matches_the_distance_table(name, cx, stated, transitive,
+                                             monkeypatch):
     g = build_dual_graph(cx)
     table = [d for a in g.node_facets for d, _ in _reference_paths(g, a).values()]
-    assert diameter(g) == _table_diameter(table)
+    diam, sweeps = _counted_sweeps(g, monkeypatch)
+    assert diam == _table_diameter(table)
     if stated is not None:
-        assert diameter(g) == stated
-
-
-def _counted_sweeps(g, monkeypatch):
-    """(diameter, number of bfs sweeps it ran)."""
-    calls = []
-
-    def counting_bfs(*args):
-        calls.append(args)
-        return bfs(*args)
-
-    monkeypatch.setattr(dual_graph, "bfs", counting_bfs)
-    return diameter(g), len(calls)
-
-
-@pytest.mark.parametrize("name, cx, stated, transitive", DIAMETER_CASES,
-                         ids=[case[0] for case in DIAMETER_CASES])
-def test_diameter_sweeps_at_most_once_per_node(name, cx, stated, transitive,
-                                               monkeypatch):
-    g = build_dual_graph(cx)
-    _, sweeps = _counted_sweeps(g, monkeypatch)
+        assert diam == stated
     assert 1 <= sweeps <= g.node_count
     if transitive:  # every eccentricity is the diameter: nothing is bounded
         assert sweeps == g.node_count
