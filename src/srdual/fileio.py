@@ -77,9 +77,12 @@ def export_graph(g: DualGraph, fmt: str = "dot", labels: str = "facet") -> str:
     """Deterministic DOT or JSON text for a dual graph.
 
     labels='facet' prints the facet-ridge labels; 'complement' prints the
-    minimal-prime (complement) labels.  DOT labels are quoted strings,
-    so a backslash or double quote in a vertex name is escaped.
+    minimal-prime (complement) labels; any other value raises
+    ParseError, as an unknown `fmt` does.  DOT labels are quoted
+    strings, so a backslash or double quote in a vertex name is escaped.
     """
+    if labels not in ("facet", "complement"):
+        raise ParseError("unknown label kind %r" % labels)
     comp = labels == "complement"
     node_labels = [g.node_label(i, complement=comp) for i in range(g.node_count)]
     edges = []

@@ -7,7 +7,7 @@ and sound.  leaf_count(d, n) gives their number in closed form, and an
 exhaustive run that visits another number raises ContractViolation.
 
 Leaves are visited in blocks.  A block holds the covering leaves that
-agree on all candidates but the last k (k = 10, or fewer on small
+agree on all candidates but the last k (k = 12, or fewer on small
 cells); position p of a block includes the candidate m-k+j exactly when
 bit k-1-j of p is clear, so p = 0 includes all of them and positions
 run in the old include-first DFS order.  One 2^k-bit int then holds one
@@ -33,7 +33,10 @@ incumbent's facet count only falls; their diameter is at most mu, so
 none could break a proved bound either.  The survivors go,
 in position order and with their diameters, through the proved bound
 and the tie-break: the smaller facet count, then vertex invariants read
-off the star masks, then the canonical form.
+off the star masks, then the canonical form.  Each time one of them
+replaces the incumbent, the drop runs again on the positions still
+pending, so a block offers the same leaves at any width, those a
+leaf-by-leaf run would offer.
 
 A flat loop over the tasks feeds the blocks to the evaluator, counts the
 covering positions, keeps only the lowest ones a node budget allows and
@@ -264,7 +267,7 @@ class SearchResult:
 
 CHECKPOINT_VERSION = "mu-search-v2"
 _TASK_LEVELS = 3  # decisions fixed per task: 2^_TASK_LEVELS tasks
-_BLOCK_LEVELS = 10  # decisions a block varies: up to 2^_BLOCK_LEVELS leaves
+_BLOCK_LEVELS = 12  # decisions a block varies: up to 2^_BLOCK_LEVELS leaves
 _DONE_LINE = re.compile(r"done (\d+) (\d+)")
 _INCUMBENT_LINE = re.compile(r"incumbent (\d+)((?: [0-9a-f]+)*)")
 
@@ -371,15 +374,19 @@ def _slices(k):
     with bit k-1-j clear; fewer[c]: the positions with fewer than c set
     bits, that is with more than k-c block candidates; spread[p]: the
     block candidates of position p as a mask, candidate j at bit j.
+    Built from the tables of k-1: position p < 2^(k-1) includes
+    candidate 0 and holds the others as position p of those tables
+    does; position p + 2^(k-1) holds the same others, lacks candidate 0
+    and has one more set bit.
     """
-    width = 1 << k
-    inc = tuple(sum(1 << p for p in range(width) if not p >> (k - 1 - j) & 1)
-                for j in range(k))
-    fewer = tuple(sum(1 << p for p in range(width) if p.bit_count() < c)
-                  for c in range(k + 2))
-    spread = tuple(sum(1 << j for j in range(k) if not p >> (k - 1 - j) & 1)
-                   for p in range(width))
-    return inc, fewer, spread
+    if not k:
+        return (), (0, 1), (0,)
+    inc, fewer, spread = _slices(k - 1)
+    half = 1 << (k - 1)
+    return (((1 << half) - 1,) + tuple(s | s << half for s in inc),
+            tuple(lo | hi << half
+                  for lo, hi in zip(fewer + fewer[-1:], (0,) + fewer)),
+            tuple(1 | s << 1 for s in spread) + tuple(s << 1 for s in spread))
 
 
 class _Leaves:
@@ -462,18 +469,24 @@ class _Leaves:
             if pres[s]:
                 for r, f in enumerate(_sliced_bfs(nbrs, pres, {s: pres[s]})):
                     wider[r] |= f
-        if mu >= 1:
-            # drop the leaves of diameter < mu, and those of diameter mu
-            # with more facets than the incumbent
-            larger = fewer[max(0, min(k + 1, prefix.bit_count() + k
-                                       - self.prekey[0]))]
-            live &= wider[mu - 1] & (wider[mu] | ~larger)
+        held = None  # the incumbent the leaves still live were filtered by
         while live:
+            if self.mu >= 1 and (self.mu, self.prekey) != held:
+                # drop the leaves of diameter < mu, and those of diameter
+                # mu with more facets than the incumbent; again each time
+                # an offered leaf replaces it
+                held = self.mu, self.prekey
+                mu, prekey = held
+                larger = fewer[max(0, min(k + 1, prefix.bit_count() + k
+                                           - prekey[0]))]
+                live &= wider[mu - 1] & (wider[mu] | ~larger)
+                continue
             b = live & -live
             live ^= b
-            p = b.bit_length() - 1
-            self._offer(prefix | spread[p] << base,
-                        sum(w >> p & 1 for w in wider))
+            diam = 0
+            while wider[diam] & b:
+                diam += 1
+            self._offer(prefix | spread[b.bit_length() - 1] << base, diam)
 
     def _offer(self, chosen, diam):
         """Offer one connected (S2) leaf of diameter `diam` to the incumbent."""

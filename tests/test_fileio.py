@@ -110,3 +110,10 @@ def test_export_unknown_format():
     g = build_dual_graph(build(FamilyId("fig_a1"), check=False))
     with pytest.raises(ParseError):
         export_graph(g, fmt="svg")
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_export_unknown_labels(fmt):
+    g = build_dual_graph(build(FamilyId("fig_a1"), check=False))
+    with pytest.raises(ParseError):
+        export_graph(g, fmt=fmt, labels="bogus")

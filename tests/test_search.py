@@ -477,11 +477,60 @@ def test_orbit_filter_matches_the_relabeling_reference(d, n, kept):
     assert forms(want) == forms(leaves)
 
 
-def test_exhaustive_mu_2_8():
+def _record_offers(monkeypatch):
+    """Record each leaf the search offers to the incumbent, and offer it."""
+    offered = []
+    real = search._Leaves._offer
+
+    def offer(leaves, chosen, diam):
+        offered.append((chosen, diam))
+        return real(leaves, chosen, diam)
+    monkeypatch.setattr(search._Leaves, "_offer", offer)
+    return offered
+
+
+def test_exhaustive_mu_2_8(monkeypatch):
+    offered = _record_offers(monkeypatch)
     res = enumerate_mu(2, 8)
     assert res.mu == 6 and res.exhaustive
     assert res.nodes_explored == search.leaf_count(2, 8) == 128_162_249
     assert res.witness.facets == (5, 10, 20, 40, 80, 160, 192)
+    assert len(offered) == 130
+
+
+# offers counted at block width 10; a leaf-by-leaf run, which filters
+# each leaf by the incumbent of the leaves before it, offers the same
+@pytest.mark.parametrize("d,n,budget,offers", [
+    (2, 6, None, 21), (3, 6, None, 75), (4, 6, None, 32), (2, 7, None, 63),
+    (3, 7, 20000, 61), (2, 7, 12345, 46)])
+def test_offers_do_not_depend_on_the_block_width(monkeypatch, d, n, budget,
+                                                 offers):
+    # the incumbent filter is re-applied inside a block each time the
+    # incumbent changes, so a wider block offers no leaf more; the
+    # budgets end inside a block
+    offered, runs = _record_offers(monkeypatch), []
+    for width in (10, search._BLOCK_LEVELS):
+        monkeypatch.setattr(search, "_BLOCK_LEVELS", width)
+        assert budget not in _block_ends(d, n, budget or 0)
+        offered.clear()
+        res = enumerate_mu(d, n, SearchBudget(max_nodes=budget))
+        runs.append((offered[:], res.mu, res.witness.facets,
+                     res.nodes_explored, res.exhaustive))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == offers
+    assert runs[0][4] == (budget is None)
+
+
+def test_position_tables_match_their_definition():
+    for k in range(13):
+        width = 1 << k
+        inc = tuple(sum(1 << p for p in range(width)
+                        if not p >> (k - 1 - j) & 1) for j in range(k))
+        fewer = tuple(sum(1 << p for p in range(width) if p.bit_count() < c)
+                      for c in range(k + 2))
+        spread = tuple(sum(1 << j for j in range(k)
+                           if not p >> (k - 1 - j) & 1) for p in range(width))
+        assert search._slices(k) == (inc, fewer, spread), k
 
 
 def _leaf_oracle(d, n, cands):
@@ -517,13 +566,14 @@ def _leaf_oracle(d, n, cands):
 
 
 @pytest.mark.parametrize("d,n,limit", [(2, 6, None), (3, 6, None),
-                                       (4, 6, None), (3, 7, 2000),
-                                       (4, 8, 1000)])
+                                       (4, 6, None), (3, 7, 2048),
+                                       (4, 8, 1024)])
 def test_block_verdicts_match_the_oracles(d, n, limit):
     # with the incumbent held at mu = -1, a block offers exactly its
     # connected (S2) leaves, in position order, each with its diameter:
-    # every leaf of whole blocks (the first ones of (3,7) and (4,8)), and
-    # the complex of all candidates as a block of one position.  The
+    # every leaf of a cell, or its first `limit` leaves with the block
+    # they end in cut to its lowest positions, as a node budget cuts it,
+    # and the complex of all candidates as a block of one position.  The
     # masked-graph oracle is checked against is_s2 and diameter on every
     # leaf but (3,6)'s 522,775, where it stands alone
     leaves = search._Leaves(d, n)
@@ -554,11 +604,13 @@ def test_block_verdicts_match_the_oracles(d, n, limit):
     checked = 0
     for prefix, covers in chain.from_iterable(
             search._blocks(cands, levels, t, k) for t in range(1 << levels)):
-        if limit is not None and checked >= limit:
-            break
+        if limit is not None:
+            if checked == limit:
+                break
+            for _ in range(covers.bit_count() - (limit - checked)):
+                covers &= ~(1 << covers.bit_length() - 1)
         checked += check(prefix, covers, k)
-    assert (checked == search.leaf_count(d, n) if limit is None
-            else checked >= limit)
+    assert checked == (search.leaf_count(d, n) if limit is None else limit)
     assert check((1 << m) - 1, 1, 0) == 1 and offered
     assert leaves.mu == -1
 
