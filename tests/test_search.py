@@ -502,7 +502,7 @@ def test_exhaustive_mu_2_8(monkeypatch):
 # each leaf by the incumbent of the leaves before it, offers the same
 @pytest.mark.parametrize("d,n,budget,offers", [
     (2, 6, None, 21), (3, 6, None, 75), (4, 6, None, 32), (2, 7, None, 63),
-    (3, 7, 20000, 61), (2, 7, 12345, 46)])
+    (5, 7, None, 57), (3, 7, 20000, 61), (2, 7, 12345, 46)])
 def test_offers_do_not_depend_on_the_block_width(monkeypatch, d, n, budget,
                                                  offers):
     # the incumbent filter is re-applied inside a block each time the
