@@ -24,10 +24,12 @@ face star for (S2): for each face s with 1 <= |s| <= d-2, the chosen
 facets holding s must be connected (those holding a (d-1)-face are
 pairwise adjacent), so each leaf searches from its lowest chosen facet
 of the star, along the dual-graph edges inside the star; the smallest
-stars go first and a block ends once no leaf passes.  It runs from
-every candidate, without a cap, for the exact diameters.  Once mu >= 1
-the diameters drop the leaves of diameter below mu and those of
-diameter mu with more facets than the incumbent.  None of those could
+stars go first and a block ends once no leaf passes.  It gives the
+exact diameters without a cap: the probe is the sweep from candidate 0,
+and each later candidate sweeps to the candidates after it only, so each
+pair of a leaf is swept once.  Once mu >= 1 the diameters drop the
+leaves of diameter below mu and those of diameter mu with more facets
+than the incumbent.  None of those could
 change the incumbent, since mu only rises and while it holds the
 incumbent's facet count only falls; their diameter is at most mu, so
 none could break a proved bound either.  The survivors go,
@@ -88,7 +90,7 @@ from numbers import Real
 from operator import and_, or_
 from typing import Optional
 
-from .complexes import SimplicialComplex, mask_of, star_masks
+from .complexes import MAX_UNIVERSE, SimplicialComplex, mask_of, star_masks
 from .errors import BadParams, BoundViolation, ContractViolation
 from .dual_graph import UNBOUNDED, build_dual_graph, diameter
 
@@ -103,9 +105,17 @@ class UpperBounds:
     best: int
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_cell(d, n):
+    if not (_is_int(d) and _is_int(n) and 2 <= d < n):
+        raise BadParams("need integers 2 <= d < n, not d=%r n=%r" % (d, n))
+
+
 def bounds(d: int, n: int) -> UpperBounds:
-    if not 2 <= d < n:
-        raise BadParams("need 2 <= d < n")
+    _check_cell(d, n)
     k = n - d
     vals: dict[str, int] = {}
     if d == 3:
@@ -133,6 +143,8 @@ def bounds(d: int, n: int) -> UpperBounds:
 
 def verify_bounds(cx: SimplicialComplex, diam: Optional[int] = None) -> bool:
     """Blanket invariant: no complex may beat the proved upper bounds."""
+    if not (diam is None or diam is UNBOUNDED or _is_int(diam)):
+        raise BadParams("diameter must be an integer, not %r" % (diam,))
     d = cx.d
     if d is None or d < 2 or d >= cx.n:
         return True
@@ -334,26 +346,30 @@ def _write_checkpoint(path, d, n, done, incumbent):
         raise
 
 
-def _sliced_bfs(nbrs, pres, frontier):
+def _sliced_bfs(nbrs, pres, frontier, lo=0):
     """Bit-sliced BFS in every leaf of a block at once.
 
     Bit p of pres[i] says that leaf p holds node i, and nbrs[i] lists the
     neighbours of node i.  `frontier` maps each start node to the mask of
     the leaves that start there, each leaf at one node at most; the
-    search runs in those leaves.  Returns `far`: far[r] is the mask of
-    the leaves that hold a node farther than r from their start (or none
-    that it reaches), until no leaf grows; later levels equal the last.
+    search runs in those leaves.  Only the nodes from `lo` on count as
+    targets.  Returns `far`: far[r] is the mask of the leaves that hold a
+    target farther than r from their start (or one that it does not
+    reach), until no leaf grows or every target is reached; later levels
+    equal the last.  A neighbour that is reached or absent in every leaf
+    is not pushed.
     """
     started = reduce(or_, frontier.values(), 0)
     todo = [p & started for p in pres]  # leaves in which node i is unreached
     for i, f in frontier.items():
         todo[i] &= ~f
-    far = [reduce(or_, todo)]
+    far = [reduce(or_, todo[lo:], 0)]
     while far[-1]:
         reach: dict[int, int] = {}
         for j, f in frontier.items():
             for i in nbrs[j]:
-                reach[i] = reach.get(i, 0) | f
+                if todo[i]:
+                    reach[i] = reach.get(i, 0) | f
         frontier = {}
         for i, f in reach.items():
             f &= todo[i]
@@ -362,7 +378,7 @@ def _sliced_bfs(nbrs, pres, frontier):
                 frontier[i] = f
         if not frontier:
             break
-        far.append(reduce(or_, todo))
+        far.append(reduce(or_, todo[lo:], 0))
     return far
 
 
@@ -462,12 +478,15 @@ class _Leaves:
             live &= ~_sliced_bfs(star_nbrs, sub, frontier)[-1]
             if not live:
                 return
-        # wider[r]: the live leaves of diameter > r (every diameter is < m)
+        # wider[r]: the live leaves of diameter > r (every diameter is < m).
+        # A pair a < b at distance D lies in the sweep from a, which only
+        # targets the later nodes; the probe was the sweep from 0
         pres = [p & live for p in pres]
-        wider = [0] * m
-        for s in range(m):
+        wider = [f & live for f in far0] + [0] * (m - len(far0))
+        for s in range(1, m):
             if pres[s]:
-                for r, f in enumerate(_sliced_bfs(nbrs, pres, {s: pres[s]})):
+                for r, f in enumerate(_sliced_bfs(nbrs, pres, {s: pres[s]},
+                                                  s + 1)):
                     wider[r] |= f
         held = None  # the incumbent the leaves still live were filtered by
         while live:
@@ -652,8 +671,7 @@ def leaf_count(d: int, n: int) -> int:
     facet: the sets that miss k given ones choose freely among the other
     C(n-k, d) - 1 candidates.
     """
-    if not 2 <= d < n:
-        raise BadParams("need 2 <= d < n")
+    _check_cell(d, n)
     r = n - d
     return sum((-1) ** k * comb(r, k) * 2 ** (comb(n - k, d) - 1)
                for k in range(r + 1))
@@ -666,8 +684,9 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
     Exhaustive when no budget stopped the search before a leaf; otherwise
     returns the best complex found so far with exhaustive=False.
     """
-    if not 2 <= d < n:
-        raise BadParams("need 2 <= d < n")
+    _check_cell(d, n)
+    if n > MAX_UNIVERSE:
+        raise BadParams("need n <= %d" % MAX_UNIVERSE)
     budget = budget or SearchBudget()
     max_nodes, max_seconds = budget.max_nodes, budget.max_seconds
     for value, kind in ((max_nodes, int), (max_seconds, Real)):

@@ -4,7 +4,7 @@ import time
 from dataclasses import replace
 from functools import reduce
 from itertools import chain, combinations, islice, permutations
-from operator import and_
+from operator import and_, or_
 
 import pytest
 
@@ -25,7 +25,7 @@ from srdual import (
     vertices_of,
 )
 from srdual.complexes import star_masks
-from srdual.dual_graph import bfs
+from srdual.dual_graph import UNBOUNDED, bfs
 from srdual.errors import BadParams, ContractViolation, IsolatedVertex
 from srdual.families import FamilyId
 
@@ -65,6 +65,18 @@ def test_bounds_rejects_bad_params():
         bounds(1, 5)
     with pytest.raises(BadParams):
         bounds(5, 5)
+    # d and n must be non-bool ints: floats made `<<` fail or float entries
+    for d, n in [(2.0, 5), (2, 5.0), (3, 6.0), (True, 5), (2, "5")]:
+        for fn in (bounds, search.leaf_count):
+            with pytest.raises(BadParams):
+                fn(d, n)
+    with pytest.raises(BadParams):
+        search.leaf_count(2.5, 6)
+    cx = build(FamilyId("fig_a2"), check=False)
+    for diam in ("x", 2.5, 3.0, True):
+        with pytest.raises(BadParams):
+            verify_bounds(cx, diam)
+    assert verify_bounds(cx, None) and verify_bounds(cx, UNBOUNDED)
 
 
 def test_verify_bounds_corpus_samples():
@@ -498,6 +510,26 @@ def test_exhaustive_mu_2_8(monkeypatch):
     assert len(offered) == 130
 
 
+@pytest.mark.parametrize("d,n,probe,star,diam", [(2, 7, 22, 0, 153),
+                                                  (3, 6, 28, 153, 373)])
+def test_kernel_calls_are_pinned(monkeypatch, d, n, probe, star, diam):
+    # one probe per evaluated block, one call per face star until no
+    # leaf is live, and one diameter sweep per later candidate a live
+    # leaf holds: the probe is the sweep from candidate 0, and the sweep
+    # from s targets only the candidates after s
+    calls = {"probe": 0, "star": 0, "diam": 0}
+    real = search._sliced_bfs
+
+    def sliced_bfs(nbrs, pres, frontier, lo=0):
+        kind = ("diam" if lo else "star" if isinstance(nbrs, dict)
+                else "probe")
+        calls[kind] += 1
+        return real(nbrs, pres, frontier, lo)
+    monkeypatch.setattr(search, "_sliced_bfs", sliced_bfs)
+    assert enumerate_mu(d, n).exhaustive
+    assert calls == {"probe": probe, "star": star, "diam": diam}
+
+
 # offers counted at block width 10; a leaf-by-leaf run, which filters
 # each leaf by the incumbent of the leaves before it, offers the same
 @pytest.mark.parametrize("d,n,budget,offers", [
@@ -531,6 +563,44 @@ def test_position_tables_match_their_definition():
         spread = tuple(sum(1 << j for j in range(k)
                            if not p >> (k - 1 - j) & 1) for p in range(width))
         assert search._slices(k) == (inc, fewer, spread), k
+
+
+def test_sliced_bfs_matches_per_leaf_bfs():
+    # random graphs of up to 12 nodes, up to 64 leaves that each hold a
+    # random node set and start at one node of it: bit p of far[r] is
+    # set exactly when leaf p holds a node >= lo farther than r from its
+    # start, or one it does not reach; levels past the end equal the last
+    rng = random.Random(22)
+    cut_off = 0  # leaves whose start misses some node
+    for trial in range(400):
+        m = rng.randint(1, 12)
+        density = rng.random()
+        adj = [0] * m
+        for i, j in combinations(range(m), 2):
+            if rng.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        nbrs = [vertices_of(a) for a in adj]
+        leaves = []
+        for _ in range(rng.randint(1, 64)):
+            held = rng.getrandbits(m) | 1 << rng.randrange(m)
+            leaves.append((held, rng.choice(vertices_of(held))))
+        pres = [sum(1 << p for p, (held, _) in enumerate(leaves)
+                    if held >> i & 1) for i in range(m)]
+        frontier = {}
+        for p, (_, start) in enumerate(leaves):
+            frontier[start] = frontier.get(start, 0) | 1 << p
+        for lo in (0, rng.randrange(m + 1)):
+            targets = (1 << m) - (1 << lo)
+            far = search._sliced_bfs(nbrs, pres, frontier, lo)
+            for p, (held, start) in enumerate(leaves):
+                reached, levels = bfs(adj, 1 << start, held)
+                cut_off += lo == 0 and reached != held
+                for r in range(m + 1):
+                    beyond = reduce(or_, levels[r + 1:], held & ~reached)
+                    got = far[min(r, len(far) - 1)] >> p & 1
+                    assert got == bool(beyond & targets), (trial, lo, p, r)
+    assert cut_off
 
 
 def _leaf_oracle(d, n, cands):
@@ -665,9 +735,19 @@ def test_exhaustive_leaf_total_is_checked(monkeypatch):
     assert not enumerate_mu(2, 5, SearchBudget(max_nodes=426)).exhaustive
 
 
-def test_search_rejects_bad_params():
+def test_search_rejects_bad_params(monkeypatch):
     with pytest.raises(BadParams):
         enumerate_mu(1, 5)
+    for d, n in [(2.0, 5), (2, 5.0), (True, 5), (2, "5")]:
+        with pytest.raises(BadParams):
+            enumerate_mu(d, n)
+    # beyond the universe cap, before any candidate is built: the dual
+    # graph of C(129, 2) candidates took over 20 s to set up
+    def built(d, n):
+        raise AssertionError("candidates built for n=%d" % n)
+    monkeypatch.setattr(search, "_Leaves", built)
+    with pytest.raises(BadParams):
+        enumerate_mu(2, search.MAX_UNIVERSE + 1, SearchBudget(max_nodes=10))
 
 
 @pytest.mark.parametrize("d,n,leaves", [(3, 5, 497), (2, 6, 14513),
