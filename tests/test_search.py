@@ -65,13 +65,11 @@ def test_bounds_rejects_bad_params():
         bounds(1, 5)
     with pytest.raises(BadParams):
         bounds(5, 5)
-    # d and n must be non-bool ints: floats made `<<` fail or float entries
-    for d, n in [(2.0, 5), (2, 5.0), (3, 6.0), (True, 5), (2, "5")]:
+    # d and n must be non-bool ints, and a given diameter an int
+    for d, n in [(2.0, 5), (2, 5.0), (3, 6.0), (2.5, 6), (True, 5), (2, "5")]:
         for fn in (bounds, search.leaf_count):
             with pytest.raises(BadParams):
                 fn(d, n)
-    with pytest.raises(BadParams):
-        search.leaf_count(2.5, 6)
     cx = build(FamilyId("fig_a2"), check=False)
     for diam in ("x", 2.5, 3.0, True):
         with pytest.raises(BadParams):
@@ -741,8 +739,7 @@ def test_search_rejects_bad_params(monkeypatch):
     for d, n in [(2.0, 5), (2, 5.0), (True, 5), (2, "5")]:
         with pytest.raises(BadParams):
             enumerate_mu(d, n)
-    # beyond the universe cap, before any candidate is built: the dual
-    # graph of C(129, 2) candidates took over 20 s to set up
+    # n beyond the universe cap is rejected before any candidate is built
     def built(d, n):
         raise AssertionError("candidates built for n=%d" % n)
     monkeypatch.setattr(search, "_Leaves", built)
