@@ -7,7 +7,7 @@ and sound.  leaf_count(d, n) gives their number in closed form, and an
 exhaustive run that visits another number raises ContractViolation.
 
 Leaves are visited in blocks.  A block holds the covering leaves that
-agree on all candidates but the last k (k = 12, or fewer on small
+agree on all candidates but the last k (k = 16, or fewer on small
 cells); position p of a block includes the candidate m-k+j exactly when
 bit k-1-j of p is clear, so p = 0 includes all of them and positions
 run in the old include-first DFS order.  One 2^k-bit int then holds one
@@ -85,7 +85,7 @@ import time
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import chain, combinations
-from math import comb
+from math import comb, isqrt
 from numbers import Real
 from operator import and_, or_
 from typing import Optional
@@ -126,10 +126,10 @@ def bounds(d: int, n: int) -> UpperBounds:
     if k == 6:
         vals["thm37"] = 14
     if k >= 4:
-        # real-valued formula; diameters are integers, so floor it.  The
+        # the floor of 3 * 2^((k-5)/2) * k, as the root of an integer; the
         # halving argument behind it needs codim >= 4 (below that the
-        # floored value undercuts true diameters, e.g. codim 1).
-        vals["thm38"] = int(3 * 2 ** ((k - 5) / 2) * k)
+        # floor undercuts true diameters, e.g. codim 1).
+        vals["thm38"] = isqrt((9 * k * k << (k - 4)) >> 1)
     if k == 3:
         vals["codim3"] = 3
     if k == 4:
@@ -279,7 +279,8 @@ class SearchResult:
 
 CHECKPOINT_VERSION = "mu-search-v2"
 _TASK_LEVELS = 3  # decisions fixed per task: 2^_TASK_LEVELS tasks
-_BLOCK_LEVELS = 12  # decisions a block varies: up to 2^_BLOCK_LEVELS leaves
+_BLOCK_LEVELS = 16  # decisions a block varies: up to 2^_BLOCK_LEVELS leaves
+_WINDOW = 256  # block positions read out at once for the incumbent
 _DONE_LINE = re.compile(r"done (\d+) (\d+)")
 _INCUMBENT_LINE = re.compile(r"incumbent (\d+)((?: [0-9a-f]+)*)")
 
@@ -362,7 +363,7 @@ def _sliced_bfs(nbrs, pres, frontier, lo=0):
     started = reduce(or_, frontier.values(), 0)
     todo = [p & started for p in pres]  # leaves in which node i is unreached
     for i, f in frontier.items():
-        todo[i] &= ~f
+        todo[i] ^= todo[i] & f
     far = [reduce(or_, todo[lo:], 0)]
     while far[-1]:
         reach: dict[int, int] = {}
@@ -388,21 +389,23 @@ def _slices(k):
 
     inc[j]: the positions that include the block's candidate j, those
     with bit k-1-j clear; fewer[c]: the positions with fewer than c set
-    bits, that is with more than k-c block candidates; spread[p]: the
-    block candidates of position p as a mask, candidate j at bit j.
-    Built from the tables of k-1: position p < 2^(k-1) includes
-    candidate 0 and holds the others as position p of those tables
-    does; position p + 2^(k-1) holds the same others, lacks candidate 0
-    and has one more set bit.
+    bits, that is with more than k-c block candidates.  Built from the
+    tables of k-1: position p < 2^(k-1) includes candidate 0 and holds
+    the others as position p of those tables does; position p + 2^(k-1)
+    holds the same others, lacks candidate 0 and has one more set bit.
     """
     if not k:
-        return (), (0, 1), (0,)
-    inc, fewer, spread = _slices(k - 1)
+        return (), (0, 1)
+    inc, fewer = _slices(k - 1)
     half = 1 << (k - 1)
     return (((1 << half) - 1,) + tuple(s | s << half for s in inc),
             tuple(lo | hi << half
-                  for lo, hi in zip(fewer + fewer[-1:], (0,) + fewer)),
-            tuple(1 | s << 1 for s in spread) + tuple(s << 1 for s in spread))
+                  for lo, hi in zip(fewer + fewer[-1:], (0,) + fewer)))
+
+
+def _block_cands(p, k):
+    """Position p's block candidates, j at bit j when bit k-1-j is clear."""
+    return int(f"{(1 << k) - 1 ^ p:0{k}b}"[::-1], 2)
 
 
 class _Leaves:
@@ -451,7 +454,7 @@ class _Leaves:
         a leaf-by-leaf run would leave it: mu only rises, and while it
         holds the incumbent's facet count only falls.
         """
-        inc, fewer, spread = _slices(k)
+        inc, fewer = _slices(k)
         nbrs = self.nbrs
         m = len(nbrs)
         base = m - k
@@ -462,7 +465,7 @@ class _Leaves:
         # leaves of eccentricity >= r, and a leaf passes when
         # 2 * eccentricity >= mu, since a leaf of diameter mu may tie
         far0 = _sliced_bfs(nbrs, pres, {0: covers})
-        live = covers & ~far0[-1]
+        live = covers ^ far0[-1]
         mu = self.mu
         if mu >= 1:
             live &= far0[min((mu + 1) // 2 - 1, len(far0) - 1)]
@@ -472,10 +475,10 @@ class _Leaves:
             sub, frontier, seen = [0] * m, {}, 0
             for i in star:
                 sub[i] = p = pres[i] & live
-                if first := p & ~seen:
+                if first := p ^ (p & seen):
                     frontier[i] = first
                     seen |= first
-            live &= ~_sliced_bfs(star_nbrs, sub, frontier)[-1]
+            live ^= _sliced_bfs(star_nbrs, sub, frontier)[-1]
             if not live:
                 return
         # wider[r]: the live leaves of diameter > r (every diameter is < m).
@@ -498,14 +501,26 @@ class _Leaves:
                 mu, prekey = held
                 larger = fewer[max(0, min(k + 1, prefix.bit_count() + k
                                            - prekey[0]))]
-                live &= wider[mu - 1] & (wider[mu] | ~larger)
+                live &= wider[mu - 1]
+                larger &= live
+                live ^= larger ^ (larger & wider[mu])
                 continue
-            b = live & -live
-            live ^= b
-            diam = 0
-            while wider[diam] & b:
-                diam += 1
-            self._offer(prefix | spread[b.bit_length() - 1] << base, diam)
+            # the live positions among the next _WINDOW from the lowest go
+            # out in order until one of them replaces the incumbent;
+            # rows[r] holds those of diameter > r
+            lo = (live ^ (live - 1)).bit_length() - 1
+            win = chunk = live >> lo & (1 << _WINDOW) - 1
+            rows = [w >> lo & win for w in wider]
+            now = self.mu, self.prekey
+            while win and (self.mu, self.prekey) == now:
+                b = win & -win
+                win ^= b
+                diam = 0
+                while rows[diam] & b:
+                    diam += 1
+                self._offer(prefix | _block_cands(lo + b.bit_length() - 1, k)
+                            << base, diam)
+            live ^= (chunk ^ win) << lo
 
     def _offer(self, chosen, diam):
         """Offer one connected (S2) leaf of diameter `diam` to the incumbent."""
@@ -638,7 +653,7 @@ class _Orbits:
     def leaders(self, prefix, covers):
         """The positions of `covers` in the block `prefix` that no
         transposition maps to an earlier leaf, as a mask."""
-        x = None  # x[i]: the positions holding candidate i (-1: all)
+        x = None  # x[i]: the positions of covers holding candidate i
         for head, tail in self.swaps:
             tau_first = 0  # 1 if tau(x) comes first, -1 if x does
             for w, o in head:
@@ -648,19 +663,32 @@ class _Orbits:
                 return 0  # in every leaf of the block
             if tau_first < 0:
                 continue
-            if x is None:
-                x = [-(prefix >> i & 1) for i in range(self.base)]
+            if x is None:  # covers only shrinks, and eq stays inside it
+                x = [prefix >> i & 1 and covers for i in range(self.base)]
                 x += self.inc
             eq = covers  # the leaves in which x and tau(x) agree so far
             for w, o in tail:
-                xw, xo = x[w], x[o]
-                covers &= ~(eq & xw & ~xo)
-                eq &= ~(xw ^ xo)
+                xw = x[w]
+                first = eq & (xw ^ x[o])  # x and tau(x) first differ here
+                covers ^= covers & first & xw
+                eq ^= first
                 if not eq:
                     break
             if not covers:
                 return 0
         return covers
+
+
+def _lowest(mask, count):
+    """The lowest `count` set bits of `mask`, 0 < count < its popcount."""
+    lo, hi = count, mask.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() < count:
+            lo = mid + 1
+        else:
+            hi = mid
+    return mask & ((1 << lo) - 1)
 
 
 def leaf_count(d: int, n: int) -> int:
@@ -729,11 +757,7 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
                 break
             if left is not None and covers.bit_count() > left:
                 # keep the first positions the budget allows
-                keep = 0
-                for _ in range(left):
-                    keep |= covers & -covers
-                    covers &= covers - 1
-                covers, stopped = keep, True
+                covers, stopped = _lowest(covers, left), True
             nodes += covers.bit_count()
             if covers := orbits.leaders(prefix, covers):
                 leaves.block(prefix, covers, k)

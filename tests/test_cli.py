@@ -182,6 +182,14 @@ def test_bounds_json(capsys):
     assert doc["best"] == min(doc["bounds"].values())
 
 
+def test_bounds_json_for_large_codimension(capsys):
+    # the thm38 entry is an integer root, not a float that overflows
+    assert main(["bounds", "--d", "2", "--n", "2100", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["best"] == 2098 == doc["bounds"]["thm35"]
+    assert doc["bounds"]["thm38"] > 2 ** 1000
+
+
 def test_verify_table(capsys):
     assert main(["verify-table"]) == 0
     out = capsys.readouterr().out

@@ -53,6 +53,19 @@ def test_bounds_entries_applicability():
                                           "klee_walkup_reduced"]
 
 
+def test_thm38_is_the_floor_of_its_formula():
+    # thm38 is the floor of 3 * 2^((k-5)/2) * k, the root of the integer
+    # 9 * k^2 * 2^(k-5); a float lost the floor from k = 94 on and
+    # overflowed past k = 2,000
+    for k in range(4, 3001):
+        g, square = bounds(2, k + 2).entries["thm38"], 9 * k * k << k >> 5
+        assert g * g <= square < (g + 1) * (g + 1), k
+    assert bounds(2, 6).entries["thm38"] == 8  # isqrt(72)
+    b = bounds(2, 2100)
+    assert all(type(v) is int for v in b.entries.values())
+    assert type(b.best) is int and b.best == 2098
+
+
 def test_bounds_klee_walkup_fixed_point():
     b = bounds(4, 8)
     assert "klee_walkup_reduced" not in b.entries or b.d != b.n - b.d
@@ -508,13 +521,15 @@ def test_exhaustive_mu_2_8(monkeypatch):
     assert len(offered) == 130
 
 
-@pytest.mark.parametrize("d,n,probe,star,diam", [(2, 7, 22, 0, 153),
-                                                  (3, 6, 28, 153, 373)])
+# counted at block width 16: fewer, wider blocks make fewer calls
+@pytest.mark.parametrize("d,n,probe,star,diam", [(2, 7, 5, 0, 46),
+                                                  (3, 6, 4, 24, 70)])
 def test_kernel_calls_are_pinned(monkeypatch, d, n, probe, star, diam):
     # one probe per evaluated block, one call per face star until no
     # leaf is live, and one diameter sweep per later candidate a live
     # leaf holds: the probe is the sweep from candidate 0, and the sweep
     # from s targets only the candidates after s
+    assert search._BLOCK_LEVELS == 16
     calls = {"probe": 0, "star": 0, "diam": 0}
     real = search._sliced_bfs
 
@@ -537,30 +552,70 @@ def test_offers_do_not_depend_on_the_block_width(monkeypatch, d, n, budget,
                                                  offers):
     # the incumbent filter is re-applied inside a block each time the
     # incumbent changes, so a wider block offers no leaf more; the
-    # budgets end inside a block
+    # budgets end inside a block at every width
     offered, runs = _record_offers(monkeypatch), []
-    for width in (10, search._BLOCK_LEVELS):
+    for width in (10, 12, 16):
         monkeypatch.setattr(search, "_BLOCK_LEVELS", width)
         assert budget not in _block_ends(d, n, budget or 0)
         offered.clear()
         res = enumerate_mu(d, n, SearchBudget(max_nodes=budget))
         runs.append((offered[:], res.mu, res.witness.facets,
                      res.nodes_explored, res.exhaustive))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
     assert len(runs[0][0]) == offers
     assert runs[0][4] == (budget is None)
 
 
+def _positions_mask(width, holds):
+    """The mask of the positions p < width for which holds(p) is true."""
+    return int("".join("01"[holds(p)] for p in reversed(range(width))) or "0",
+               2)
+
+
 def test_position_tables_match_their_definition():
-    for k in range(13):
+    rng = random.Random(24)
+    for k in range(search._BLOCK_LEVELS + 1):
         width = 1 << k
-        inc = tuple(sum(1 << p for p in range(width)
-                        if not p >> (k - 1 - j) & 1) for j in range(k))
-        fewer = tuple(sum(1 << p for p in range(width) if p.bit_count() < c)
+        inc = tuple(_positions_mask(width, lambda p: not p >> (k - 1 - j) & 1)
+                    for j in range(k))
+        fewer = tuple(_positions_mask(width, lambda p: p.bit_count() < c)
                       for c in range(k + 2))
-        spread = tuple(sum(1 << j for j in range(k)
-                           if not p >> (k - 1 - j) & 1) for p in range(width))
-        assert search._slices(k) == (inc, fewer, spread), k
+        assert search._slices(k) == (inc, fewer), k
+        # every position of the narrow blocks, a sample of the wide ones
+        for p in (range(width) if k <= 10 else rng.sample(range(width), 500)):
+            cands = sum(1 << j for j in range(k) if not p >> (k - 1 - j) & 1)
+            assert search._block_cands(p, k) == cands, (k, p)
+
+
+def _old_cut(covers, left):
+    """The lowest `left` set bits of `covers`, one bit at a time."""
+    keep = 0
+    for _ in range(left):
+        keep |= covers & -covers
+        covers &= covers - 1
+    return keep
+
+
+def test_budget_cut_keeps_the_lowest_positions():
+    # the bisection keeps what a bit-by-bit cut keeps: every cut of
+    # small masks, and the shortest, longest and random cuts of masks up
+    # to a width-16 block, sparse and dense
+    rng = random.Random(24)
+    for _ in range(300):
+        mask = rng.getrandbits(rng.randint(1, 24))
+        for left in range(1, mask.bit_count()):
+            assert search._lowest(mask, left) == _old_cut(mask, left)
+    for _ in range(40):
+        width = 1 << rng.randint(5, 16)
+        mask = reduce(and_, (rng.getrandbits(width)
+                             for _ in range(rng.randint(1, 8))))
+        if mask.bit_count() < 2:
+            continue
+        for left in {1, mask.bit_count() - 1,
+                     rng.randrange(1, mask.bit_count())}:
+            got = search._lowest(mask, left)
+            assert got == _old_cut(mask, left), (width, left)
+            assert got.bit_count() == left
 
 
 def test_sliced_bfs_matches_per_leaf_bfs():
@@ -684,7 +739,9 @@ def test_block_verdicts_match_the_oracles(d, n, limit):
 
 
 # mu, canonical witness and leaf count of budgeted runs, as computed by
-# the per-source BFS leaf diameter and the permutation canonical form
+# the per-source BFS leaf diameter and the permutation canonical form;
+# the runs of 200,000 leaves, at block width 12, end 3,392 leaves into
+# a block of width 16
 @pytest.mark.parametrize("d,n,budget,mu,facets", [
     (3, 7, 20000, 4, (11, 21, 22, 49, 50, 52, 56, 67, 69, 70, 73, 74, 76,
                       88, 97, 98, 100, 104, 112)),
@@ -693,8 +750,13 @@ def test_block_verdicts_match_the_oracles(d, n, limit):
                      135, 139, 141, 142, 147, 149, 150, 153, 154, 156, 163,
                      165, 166, 169, 170, 172, 177, 178, 180, 184, 197, 201,
                      204, 209, 210, 212, 216, 225, 226, 228, 232, 240)),
+    (3, 7, 200000, 4, (26, 37, 44, 52, 67, 73, 74, 81, 82, 84, 88, 97, 98,
+                       100, 104, 112)),
+    (4, 7, 200000, 3, (71, 75, 85, 86, 89, 90, 101, 102, 105, 106, 108, 113,
+                       114, 116, 120)),
 ])
 def test_budgeted_search_is_pinned(d, n, budget, mu, facets):
+    assert budget not in _block_ends(d, n, budget)
     res = enumerate_mu(d, n, budget=SearchBudget(max_nodes=budget))
     assert not res.exhaustive
     assert res.mu == mu and res.witness.facets == facets
