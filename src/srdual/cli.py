@@ -156,10 +156,12 @@ def _cmd_search_mu(args) -> int:
                                    "=" if res.exhaustive else ">=", res.mu),
              "exhaustive: %s" % res.exhaustive,
              "nodes explored: %d" % res.nodes_explored,
+             "resumed leaves: %d" % res.resumed_leaves,
              "elapsed: %.1f s" % res.elapsed]
     payload = {"d": res.d, "n": res.n, "mu": res.mu,
                "exhaustive": res.exhaustive,
                "nodes_explored": res.nodes_explored,
+               "resumed_leaves": res.resumed_leaves,
                "elapsed": res.elapsed, "witness": None}
     if res.witness is not None:
         w = res.witness

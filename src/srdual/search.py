@@ -62,18 +62,24 @@ candidates it moves that touches the block, dropping the whole block or
 passing it; the transpositions still open walk the remaining pairs with
 an "equal so far" mask over the block's positions.
 
-The loop checkpoints each finished task once there is an incumbent, so a
-checkpoint that marks tasks done always holds one; a checkpoint's
-incumbent re-enters through the evaluator as a block of one position.
+Once there is an incumbent, each finished task leaves a snapshot of the
+finished tasks and the incumbent, so a checkpoint that marks tasks done
+always holds one; a checkpoint's incumbent re-enters through the
+evaluator as a block of one position.  The latest snapshot is written
+once _CHECKPOINT_SECONDS have passed since the search started or the
+last write, and when the task loop is left by any path with it not yet
+written, so a run leaves the file a write per task would leave; a hard
+kill or a power loss can lose the last _CHECKPOINT_SECONDS of tasks.
 Each finished task is recorded with its leaf count (`done T L`), and a
-resumed run starts its leaf count at their sum: it ends with an
-uninterrupted run's total, a node budget counts the recorded leaves,
-and a resumed exhaustive run that does not count leaf_count(d, n)
-leaves raises BadParams.  A run is exhaustive exactly when no budget
+resumed run starts its leaf count at their sum, reported as
+resumed_leaves: it ends with an uninterrupted run's total, a node
+budget counts the recorded leaves, and a resumed exhaustive run that
+does not count leaf_count(d, n) leaves raises BadParams.  A run is exhaustive exactly when no budget
 stopped it before a leaf; an exhaustive run always has a witness, since
 the complex of all candidates is a connected (S2) leaf.  A checkpoint
 that is a directory, or whose directory is missing or not writable,
-raises BadParams before the first task.
+raises BadParams before the first task, as does one that is not None,
+a non-empty str or an os.PathLike.
 """
 
 from __future__ import annotations
@@ -275,9 +281,11 @@ class SearchResult:
     exhaustive: bool
     nodes_explored: int
     elapsed: float
+    resumed_leaves: int = 0  # leaves of the tasks a checkpoint marked done
 
 
 CHECKPOINT_VERSION = "mu-search-v2"
+_CHECKPOINT_SECONDS = 1.0  # least time between two checkpoint writes
 _TASK_LEVELS = 3  # decisions fixed per task: 2^_TASK_LEVELS tasks
 _BLOCK_LEVELS = 16  # decisions a block varies: up to 2^_BLOCK_LEVELS leaves
 _WINDOW = 256  # block positions read out at once for the incumbent
@@ -569,8 +577,9 @@ class _Leaves:
                             "of diameter %d" % (self.d, mu))
 
 
-def _blocks(cands, levels, task, k):
-    """The blocks of one task in include-first DFS order.
+def _blocks(cands, levels, k):
+    """blocks(task), which yields the blocks of one task in include-first
+    DFS order; the tables they share are built once, for every task.
 
     A leaf is a mask of candidate indices whose candidates cover every
     vertex.  Candidate 0, {0..d-1}, is in every leaf; bit l of `task`
@@ -594,25 +603,29 @@ def _blocks(cands, levels, task, k):
     hits = [reduce(or_, (s for s, c in zip(inc, block_cands) if c >> v & 1), 0)
             for v in range(full.bit_length())]
     every = (1 << (1 << k)) - 1
-    chosen, covered = 1, cands[0]
-    for lvl in range(levels):
-        if task >> lvl & 1:
-            chosen |= 2 << lvl
-            covered |= cands[1 + lvl]
-    stack = [(1 + levels, chosen, covered)]
-    while stack:
-        idx, chosen, covered = stack.pop()
-        if idx == base:
-            covers, missing = every, full & ~covered
-            while missing and covers:
-                b = missing & -missing
-                covers &= hits[b.bit_length() - 1]
-                missing ^= b
-            if covers:
-                yield chosen, covers
-        elif covered | suffix_cover[idx] == full:
-            stack.append((idx + 1, chosen, covered))
-            stack.append((idx + 1, chosen | 1 << idx, covered | cands[idx]))
+
+    def blocks(task):
+        chosen, covered = 1, cands[0]
+        for lvl in range(levels):
+            if task >> lvl & 1:
+                chosen |= 2 << lvl
+                covered |= cands[1 + lvl]
+        stack = [(1 + levels, chosen, covered)]
+        while stack:
+            idx, chosen, covered = stack.pop()
+            if idx == base:
+                covers, missing = every, full & ~covered
+                while missing and covers:
+                    b = missing & -missing
+                    covers &= hits[b.bit_length() - 1]
+                    missing ^= b
+                if covers:
+                    yield chosen, covers
+            elif covered | suffix_cover[idx] == full:
+                stack.append((idx + 1, chosen, covered))
+                stack.append((idx + 1, chosen | 1 << idx,
+                              covered | cands[idx]))
+    return blocks
 
 
 class _Orbits:
@@ -706,7 +719,7 @@ def leaf_count(d: int, n: int) -> int:
 
 
 def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
-                 checkpoint: Optional[str] = None) -> SearchResult:
+                 checkpoint: str | os.PathLike | None = None) -> SearchResult:
     """Max dual-graph diameter over (S2) pure complexes using all n vertices.
 
     Exhaustive when no budget stopped the search before a leaf; otherwise
@@ -724,6 +737,11 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
     if (max_nodes is not None and max_nodes < 0
             or max_seconds is not None and not max_seconds >= 0):  # NaN too
         raise BadParams("search budgets must be >= 0")
+    if isinstance(checkpoint, os.PathLike):
+        checkpoint = os.fspath(checkpoint)
+    if checkpoint == "" or not isinstance(checkpoint, (str, type(None))):
+        raise BadParams("checkpoint must be a non-empty path, not %r"
+                        % (checkpoint,))
     if checkpoint:
         folder = os.path.dirname(os.path.abspath(checkpoint))
         if (os.path.isdir(checkpoint) or not os.path.isdir(folder)
@@ -735,6 +753,7 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
     levels = _task_levels(d, n)
     k = _block_levels(d, n)
     orbits = _Orbits(d, n, leaves.cands, levels, k)
+    blocks = _blocks(leaves.cands, levels, k)
     done: dict[int, int] = {}  # finished task -> its leaf count
     if checkpoint:
         done, (ck_mu, ck_facets) = _read_checkpoint(checkpoint, d, n)
@@ -744,31 +763,40 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
 
     # a resumed run counts the leaves of the tasks it skips, so it ends
     # with an uninterrupted run's total, and a node budget counts them too
-    nodes, stopped = sum(done.values()), False
-    for t in range(1 << levels):
-        if t in done:
-            continue
-        start = nodes
-        for prefix, covers in _blocks(leaves.cands, levels, t, k):
-            left = None if max_nodes is None else max_nodes - nodes
-            if (left is not None and left <= 0 or max_seconds is not None
-                    and time.monotonic() - t_start > max_seconds):
-                stopped = True
-                break
-            if left is not None and covers.bit_count() > left:
-                # keep the first positions the budget allows
-                covers, stopped = _lowest(covers, left), True
-            nodes += covers.bit_count()
-            if covers := orbits.leaders(prefix, covers):
-                leaves.block(prefix, covers, k)
+    resumed_leaves = nodes = sum(done.values())
+    stopped = False
+    # the latest (done, incumbent) not yet written, and the last write
+    snapshot, written = None, t_start
+    try:
+        for t in range(1 << levels):
+            if t in done:
+                continue
+            start = nodes
+            for prefix, covers in blocks(t):
+                left = None if max_nodes is None else max_nodes - nodes
+                if (left is not None and left <= 0 or max_seconds is not None
+                        and time.monotonic() - t_start > max_seconds):
+                    stopped = True
+                    break
+                if left is not None and covers.bit_count() > left:
+                    # keep the first positions the budget allows
+                    covers, stopped = _lowest(covers, left), True
+                nodes += covers.bit_count()
+                if covers := orbits.leaders(prefix, covers):
+                    leaves.block(prefix, covers, k)
+                if stopped:
+                    break
             if stopped:
                 break
-        if stopped:
-            break
-        done[t] = nodes - start
-        if checkpoint and leaves.witness is not None:
-            _write_checkpoint(checkpoint, d, n, done,
-                              (leaves.mu, leaves.witness.facets))
+            done[t] = nodes - start
+            if checkpoint and leaves.witness is not None:
+                snapshot = dict(done), (leaves.mu, leaves.witness.facets)
+                if time.monotonic() - written >= _CHECKPOINT_SECONDS:
+                    _write_checkpoint(checkpoint, d, n, *snapshot)
+                    snapshot, written = None, time.monotonic()
+    finally:
+        if snapshot is not None:
+            _write_checkpoint(checkpoint, d, n, *snapshot)
     if not stopped and nodes != leaf_count(d, n):
         if resumed:
             raise BadParams("checkpoint %s: the resumed mu(%d,%d) search "
@@ -786,4 +814,5 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
             witness = SimplicialComplex(n, key.facets)
     return SearchResult(d=d, n=n, mu=leaves.mu, witness=witness,
                         exhaustive=not stopped, nodes_explored=nodes,
-                        elapsed=time.monotonic() - t_start)
+                        elapsed=time.monotonic() - t_start,
+                        resumed_leaves=resumed_leaves)

@@ -168,6 +168,7 @@ def test_search_mu_json(capsys):
     assert main(["search-mu", "--d", "2", "--n", "5", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["mu"] == 3 and doc["exhaustive"] is True
+    assert doc["resumed_leaves"] == 0
 
 
 def test_bounds_output(capsys):

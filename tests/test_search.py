@@ -408,8 +408,9 @@ def _block_ends(d, n, total):
     cands = search._Leaves(d, n).cands
     levels, k = search._task_levels(d, n), search._block_levels(d, n)
     ends, count = [], 0
+    blocks = search._blocks(cands, levels, k)
     for t in range(1 << levels):
-        for _, covers in search._blocks(cands, levels, t, k):
+        for _, covers in blocks(t):
             count += covers.bit_count()
             if count > total:
                 return ends
@@ -484,9 +485,10 @@ def test_orbit_filter_matches_the_relabeling_reference(d, n, kept):
     levels = search._task_levels(d, n)
     for k in {search._block_levels(d, n), 2}:
         orbits = search._Orbits(d, n, cands, levels, k)
+        blocks = search._blocks(cands, levels, k)
         got = []
         for t in range(1 << levels):
-            for prefix, covers in search._blocks(cands, levels, t, k):
+            for prefix, covers in blocks(t):
                 leaders = orbits.leaders(prefix, covers)
                 got += _block_leaves(len(cands), prefix, leaders, k)
                 cut = covers & rng.getrandbits(1 << k)
@@ -723,9 +725,10 @@ def test_block_verdicts_match_the_oracles(d, n, limit):
         return covers.bit_count()
 
     levels, k = search._task_levels(d, n), search._block_levels(d, n)
+    blocks = search._blocks(cands, levels, k)
     checked = 0
-    for prefix, covers in chain.from_iterable(
-            search._blocks(cands, levels, t, k) for t in range(1 << levels)):
+    for prefix, covers in chain.from_iterable(map(blocks,
+                                                  range(1 << levels))):
         if limit is not None:
             if checked == limit:
                 break
@@ -846,16 +849,18 @@ def _reference_task_leaves(cands, levels, task):
 def _block_leaves(m, prefix, covers, k):
     """A block's leaves in position order: position p includes candidate
     m - k + j exactly when bit k-1-j of p is clear."""
-    for p in range(1 << k):
-        if covers >> p & 1:
-            yield prefix | sum(1 << (m - k + j) for j in range(k)
-                               if not p >> (k - 1 - j) & 1)
+    bits = bin(covers)[:1:-1]  # bit p of covers at index p
+    p = bits.find("1")
+    while p >= 0:
+        yield prefix | sum(1 << (m - k + j) for j in range(k)
+                           if not p >> (k - 1 - j) & 1)
+        p = bits.find("1", p + 1)
 
 
 def _expand_blocks(cands, levels, task, k):
     """A task's leaves read off its blocks."""
     base = len(cands) - k
-    for prefix, covers in search._blocks(cands, levels, task, k):
+    for prefix, covers in search._blocks(cands, levels, k)(task):
         assert covers and prefix < 1 << base and prefix & 1
         assert covers < 1 << (1 << k)
         yield from _block_leaves(len(cands), prefix, covers, k)
@@ -926,7 +931,7 @@ def test_exhaustive_run_without_witness_is_rejected(tmp_path, d, n, tasks):
 def test_checkpoint_waits_for_an_incumbent(tmp_path):
     # task 0 of (2,3) leaves out both other candidates: it has no leaves,
     # so it finishes with no incumbent and no checkpoint is written
-    assert list(search._blocks(search._Leaves(2, 3).cands, 2, 0, 0)) == []
+    assert list(search._blocks(search._Leaves(2, 3).cands, 2, 0)(0)) == []
     ck = str(tmp_path / "ck.txt")
     stopped = enumerate_mu(2, 3, budget=SearchBudget(max_nodes=0),
                            checkpoint=ck)
@@ -940,8 +945,8 @@ def _task_leaf_counts(d, n):
     """The number of leaves of each task of (d, n), read off its blocks."""
     cands = [mask_of(c) for c in combinations(range(n), d)]
     levels, k = search._task_levels(d, n), search._block_levels(d, n)
-    return [sum(covers.bit_count()
-                for _, covers in search._blocks(cands, levels, t, k))
+    blocks = search._blocks(cands, levels, k)
+    return [sum(covers.bit_count() for _, covers in blocks(t))
             for t in range(1 << levels)]
 
 
@@ -985,6 +990,111 @@ def test_resumed_run_ends_as_an_uninterrupted_one(tmp_path):
                 got.exhaustive) == (want.mu, want.witness.facets,
                                     want.nodes_explored, want.exhaustive)
     assert got.nodes_explored == search.leaf_count(2, 6)
+
+
+def _count_writes(monkeypatch):
+    """Record the (done, incumbent) of each checkpoint write, and write it."""
+    writes = []
+    real = search._write_checkpoint
+
+    def write(path, d, n, done, incumbent):
+        writes.append((dict(done), incumbent))
+        return real(path, d, n, done, incumbent)
+    monkeypatch.setattr(search, "_write_checkpoint", write)
+    return writes
+
+
+@pytest.mark.parametrize("d,n", [(2, 6), (3, 6)])
+def test_checkpoint_is_written_by_elapsed_time(tmp_path, monkeypatch, d, n):
+    # a run shorter than _CHECKPOINT_SECONDS writes once, at its end, the
+    # file a run that writes after every finished task leaves
+    writes = _count_writes(monkeypatch)
+    seconds = search._CHECKPOINT_SECONDS
+    ck = tmp_path / "ck.txt"
+    enumerate_mu(d, n, checkpoint=ck)
+    assert len(writes) == 1 and set(writes[0][0]) == set(range(8))
+    once = ck.read_bytes()
+    ck.unlink()
+    writes.clear()
+    monkeypatch.setattr(search, "_CHECKPOINT_SECONDS", 0)
+    enumerate_mu(d, n, checkpoint=ck)
+    assert [sorted(done) for done, _ in writes] == [list(range(t + 1))
+                                                    for t in range(8)]
+    assert ck.read_bytes() == once
+    # a budget stop writes the tasks finished before it, once
+    for every, count in ((0, 3), (seconds, 1)):
+        monkeypatch.setattr(search, "_CHECKPOINT_SECONDS", every)
+        ck.unlink()
+        writes.clear()
+        enumerate_mu(2, 6, SearchBudget(max_nodes=6000), checkpoint=ck)
+        assert len(writes) == count and sorted(writes[-1][0]) == [0, 1, 2]
+
+
+def test_interrupted_run_leaves_its_last_finished_task(tmp_path,
+                                                        monkeypatch):
+    # task 5 of (4,6) reaches the evaluator (in (2,6) and (3,6) the orbit
+    # filter drops it whole); an interrupt there leaves tasks 0..4 done
+    # with the incumbent as it was after task 4, not as the unfinished
+    # task left it, and the run resumes to the uninterrupted result
+    writes = _count_writes(monkeypatch)
+    monkeypatch.setattr(search, "_CHECKPOINT_SECONDS", 0)
+    full = enumerate_mu(4, 6, checkpoint=tmp_path / "every.txt")
+    after_task_4 = writes[4]
+    assert sorted(after_task_4[0]) == list(range(5))
+    monkeypatch.undo()
+
+    real = search._Leaves.block
+
+    def block(leaves, prefix, covers, k):
+        real(leaves, prefix, covers, k)
+        if prefix >> 1 & 7 == 5:
+            leaves.mu += 1  # as if the unfinished task had raised mu
+            raise KeyboardInterrupt
+    monkeypatch.setattr(search._Leaves, "block", block)
+    writes = _count_writes(monkeypatch)
+    ck = tmp_path / "ck.txt"
+    with pytest.raises(KeyboardInterrupt):
+        enumerate_mu(4, 6, checkpoint=ck)
+    assert len(writes) == 1
+    assert search._read_checkpoint(ck, 4, 6) == after_task_4
+    monkeypatch.undo()
+    resumed = enumerate_mu(4, 6, checkpoint=ck)
+    assert (resumed.mu, resumed.witness.facets, resumed.nodes_explored,
+            resumed.exhaustive) == (full.mu, full.witness.facets,
+                                    full.nodes_explored, True)
+    assert resumed.resumed_leaves == sum(after_task_4[0].values())
+
+
+def test_resumed_leaves_are_reported(tmp_path):
+    # the leaves a resumed run took on trust: this file's tasks 0..6 with
+    # a valid mu = 3 incumbent resume to an exhaustive mu = 3, though
+    # mu(2,6) = 4, and the 12,529 trusted leaves show it
+    counts = [1663, 1758, 1758, 1864, 1758, 1864, 1864]
+    ck = _checkpoint(tmp_path, "d=2 n=6", "incumbent 3 3 5 9 12 24",
+                     *("done %d %d" % tc for tc in enumerate(counts)))
+    res = enumerate_mu(2, 6, checkpoint=ck)
+    assert (res.mu, res.exhaustive, res.nodes_explored) == (3, True, 14513)
+    assert res.resumed_leaves == sum(counts) == 12529
+    assert enumerate_mu(2, 6).resumed_leaves == 0
+
+
+@pytest.mark.parametrize("checkpoint", [123, "", b"ck.txt", 1.5])
+def test_checkpoint_must_be_a_path(monkeypatch, checkpoint):
+    # anything but None, a non-empty str or an os.PathLike is refused
+    # before any candidate is built
+    def built(d, n):
+        raise AssertionError("candidates built")
+    monkeypatch.setattr(search, "_Leaves", built)
+    with pytest.raises(BadParams, match="checkpoint must be"):
+        enumerate_mu(2, 5, checkpoint=checkpoint)
+
+
+def test_checkpoint_may_be_a_path_object(tmp_path):
+    ck = tmp_path / "ck.txt"
+    assert enumerate_mu(2, 5, checkpoint=ck).resumed_leaves == 0
+    assert set(search._read_checkpoint(ck, 2, 5)[0]) == set(range(8))
+    resumed = enumerate_mu(2, 5, checkpoint=ck)
+    assert resumed.exhaustive and resumed.resumed_leaves == 427
 
 
 @pytest.mark.parametrize("budget", [SearchBudget(max_nodes=-1),
