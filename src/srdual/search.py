@@ -27,18 +27,18 @@ of the star, along the dual-graph edges inside the star; the smallest
 stars go first and a block ends once no leaf passes.  It gives the
 exact diameters without a cap: the probe is the sweep from candidate 0,
 and each later candidate sweeps to the candidates after it only, so each
-pair of a leaf is swept once.  Once mu >= 1 the diameters drop the
-leaves of diameter below mu and those of diameter mu with more facets
-than the incumbent.  None of those could
-change the incumbent, since mu only rises and while it holds the
-incumbent's facet count only falls; their diameter is at most mu, so
-none could break a proved bound either.  The survivors go,
-in position order and with their diameters, through the proved bound
-and the tie-break: the smaller facet count, then vertex invariants read
-off the star masks, then the canonical form.  Each time one of them
-replaces the incumbent, the drop runs again on the positions still
-pending, so a block offers the same leaves at any width, those a
-leaf-by-leaf run would offer.
+pair of a leaf is swept once.  Then at most two kinds of leaf go, in
+position order and with their diameters, through the proved bound and
+the tie-break: the smaller facet count, then vertex invariants read off
+the star masks, then the canonical form.  First the lowest leaf above
+the proved bound, which raises as a leaf-by-leaf run would (no rule
+drops a diameter above mu); then the block's best class, its leaves of
+largest diameter with the fewest facets among those, unless that
+diameter is below mu, or is mu with more facets than the incumbent.
+The incumbent is the earliest minimum of (-diameter, pre-key, canonical
+key), and the pre-key starts with the facet count, so each leaf of the
+class beats every other leaf of the block: after each block the
+incumbent is the one a leaf-by-leaf run would leave.
 
 A flat loop over the tasks feeds the blocks to the evaluator, counts the
 covering positions, keeps only the lowest ones a node budget allows and
@@ -288,7 +288,6 @@ CHECKPOINT_VERSION = "mu-search-v2"
 _CHECKPOINT_SECONDS = 1.0  # least time between two checkpoint writes
 _TASK_LEVELS = 3  # decisions fixed per task: 2^_TASK_LEVELS tasks
 _BLOCK_LEVELS = 16  # decisions a block varies: up to 2^_BLOCK_LEVELS leaves
-_WINDOW = 256  # block positions read out at once for the incumbent
 _DONE_LINE = re.compile(r"done (\d+) (\d+)")
 _INCUMBENT_LINE = re.compile(r"incumbent (\d+)((?: [0-9a-f]+)*)")
 
@@ -450,24 +449,17 @@ class _Leaves:
         # the incumbent: diameter, witness, invariant pre-key, canonical key
         self.mu, self.witness, self.prekey, self.key = -1, None, None, None
 
-    def block(self, prefix, covers, k):
-        """Offer the covering leaves of one block to the incumbent.
+    def evaluate(self, pres, covers):
+        """Run every leaf rule but the bound gate and the tie-break.
 
-        The block's leaves choose the candidates below m - k as `prefix`
-        does; position p chooses the last k as _slices(k) says, and
-        `covers` is the mask of the positions to offer.  Every rule but
-        the bound gate and the tie-break runs on the whole block at once.
-        The leaves that could still change the incumbent go to _offer
-        with their diameters, in position order, so the incumbent ends as
-        a leaf-by-leaf run would leave it: mu only rises, and while it
-        holds the incumbent's facet count only falls.
+        Bit p of pres[i] says that leaf p holds candidate i, and `covers`
+        is the mask of the leaves, each holding candidate 0.  Returns
+        (live, wider): the mask of the connected (S2) leaves the probe
+        keeps, and wider[r], that of the live leaves of diameter > r, for
+        every r < m (every diameter is < m).  The incumbent is only read.
         """
-        inc, fewer = _slices(k)
         nbrs = self.nbrs
         m = len(nbrs)
-        base = m - k
-        pres = [covers if prefix >> i & 1 else 0 for i in range(base)]
-        pres += [covers & s for s in inc]
         # candidate 0 is in every leaf: one BFS from it gives connectivity
         # and the probe diameter <= 2 * eccentricity.  far0[r-1] holds the
         # leaves of eccentricity >= r, and a leaf passes when
@@ -488,9 +480,8 @@ class _Leaves:
                     seen |= first
             live ^= _sliced_bfs(star_nbrs, sub, frontier)[-1]
             if not live:
-                return
-        # wider[r]: the live leaves of diameter > r (every diameter is < m).
-        # A pair a < b at distance D lies in the sweep from a, which only
+                break
+        # a pair a < b at distance D lies in the sweep from a, which only
         # targets the later nodes; the probe was the sweep from 0
         pres = [p & live for p in pres]
         wider = [f & live for f in far0] + [0] * (m - len(far0))
@@ -499,36 +490,44 @@ class _Leaves:
                 for r, f in enumerate(_sliced_bfs(nbrs, pres, {s: pres[s]},
                                                   s + 1)):
                     wider[r] |= f
-        held = None  # the incumbent the leaves still live were filtered by
-        while live:
-            if self.mu >= 1 and (self.mu, self.prekey) != held:
-                # drop the leaves of diameter < mu, and those of diameter
-                # mu with more facets than the incumbent; again each time
-                # an offered leaf replaces it
-                held = self.mu, self.prekey
-                mu, prekey = held
-                larger = fewer[max(0, min(k + 1, prefix.bit_count() + k
-                                           - prekey[0]))]
-                live &= wider[mu - 1]
-                larger &= live
-                live ^= larger ^ (larger & wider[mu])
-                continue
-            # the live positions among the next _WINDOW from the lowest go
-            # out in order until one of them replaces the incumbent;
-            # rows[r] holds those of diameter > r
-            lo = (live ^ (live - 1)).bit_length() - 1
-            win = chunk = live >> lo & (1 << _WINDOW) - 1
-            rows = [w >> lo & win for w in wider]
-            now = self.mu, self.prekey
-            while win and (self.mu, self.prekey) == now:
-                b = win & -win
-                win ^= b
-                diam = 0
-                while rows[diam] & b:
-                    diam += 1
-                self._offer(prefix | _block_cands(lo + b.bit_length() - 1, k)
+        return live, wider
+
+    def block(self, prefix, covers, k):
+        """Offer the covering leaves of one block to the incumbent.
+
+        The block's leaves choose the candidates below m - k as `prefix`
+        does; position p chooses the last k as _slices(k) says, and
+        `covers` is the mask of the positions to offer.  Of the leaves
+        evaluate keeps, the lowest above the proved bound and then the
+        best class go to _offer, as the module docstring says.
+        """
+        inc, fewer = _slices(k)
+        base = len(self.nbrs) - k
+        pres = [covers if prefix >> i & 1 else 0 for i in range(base)]
+        pres += [covers & s for s in inc]
+        live, wider = self.evaluate(pres, covers)
+        if not live:
+            return
+
+        def offer(positions, diam):
+            while positions:
+                b = positions & -positions
+                positions ^= b
+                self._offer(prefix | _block_cands(b.bit_length() - 1, k)
                             << base, diam)
-            live ^= (chunk ^ win) << lo
+        if over := wider[min(self.best_bound, len(wider) - 1)]:
+            b = over & -over
+            offer(b, sum(1 for w in wider if w & b))
+        # the largest diameter, then the most set bits: the fewest facets
+        top, diam = live, 0
+        while wider[diam]:
+            top, diam = wider[diam], diam + 1
+        c = k
+        while not (best := top ^ (top & fewer[c])):
+            c -= 1
+        if diam > self.mu or diam == self.mu and (
+                prefix.bit_count() + k - c <= self.prekey[0]):
+            offer(best, diam)
 
     def _offer(self, chosen, diam):
         """Offer one connected (S2) leaf of diameter `diam` to the incumbent."""

@@ -2,7 +2,7 @@ import os
 import random
 import time
 from dataclasses import replace
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, combinations, islice, permutations
 from operator import and_, or_
 
@@ -520,7 +520,7 @@ def test_exhaustive_mu_2_8(monkeypatch):
     assert res.mu == 6 and res.exhaustive
     assert res.nodes_explored == search.leaf_count(2, 8) == 128_162_249
     assert res.witness.facets == (5, 10, 20, 40, 80, 160, 192)
-    assert len(offered) == 130
+    assert len(offered) == 32
 
 
 # counted at block width 16: fewer, wider blocks make fewer calls
@@ -545,27 +545,65 @@ def test_kernel_calls_are_pinned(monkeypatch, d, n, probe, star, diam):
     assert calls == {"probe": probe, "star": star, "diam": diam}
 
 
-# offers counted at block width 10; a leaf-by-leaf run, which filters
-# each leaf by the incumbent of the leaves before it, offers the same
+# offers counted at block width 16: a block offers its lowest leaf above
+# the proved bound and its best class, so a wider block offers fewer
 @pytest.mark.parametrize("d,n,budget,offers", [
-    (2, 6, None, 21), (3, 6, None, 75), (4, 6, None, 32), (2, 7, None, 63),
-    (5, 7, None, 57), (3, 7, 20000, 61), (2, 7, 12345, 46)])
-def test_offers_do_not_depend_on_the_block_width(monkeypatch, d, n, budget,
-                                                 offers):
-    # the incumbent filter is re-applied inside a block each time the
-    # incumbent changes, so a wider block offers no leaf more; the
-    # budgets end inside a block at every width
+    (2, 6, None, 5), (3, 6, None, 6), (4, 6, None, 3), (2, 7, None, 7),
+    (5, 7, None, 3), (3, 7, 20000, 1), (2, 7, 12345, 2)])
+def test_incumbents_do_not_depend_on_the_block_width(tmp_path, monkeypatch,
+                                                     d, n, budget, offers):
+    # the incumbent after every finished task, as the checkpoint records
+    # it, and the result are the same at every width; the budgets end
+    # inside a block at every width
+    monkeypatch.setattr(search, "_CHECKPOINT_SECONDS", 0)
+    writes = _count_writes(monkeypatch)
     offered, runs = _record_offers(monkeypatch), []
     for width in (10, 12, 16):
         monkeypatch.setattr(search, "_BLOCK_LEVELS", width)
         assert budget not in _block_ends(d, n, budget or 0)
+        writes.clear()
         offered.clear()
-        res = enumerate_mu(d, n, SearchBudget(max_nodes=budget))
-        runs.append((offered[:], res.mu, res.witness.facets,
+        res = enumerate_mu(d, n, SearchBudget(max_nodes=budget),
+                           checkpoint=tmp_path / ("%d.txt" % width))
+        runs.append((writes[:], res.mu, res.witness.facets,
                      res.nodes_explored, res.exhaustive))
     assert runs[0] == runs[1] == runs[2]
-    assert len(runs[0][0]) == offers
+    assert len(offered) == offers
     assert runs[0][4] == (budget is None)
+
+
+@pytest.mark.parametrize("d,n,budget", [
+    (2, 6, None), (3, 6, None), (4, 6, None), (2, 7, None), (5, 7, None),
+    (3, 7, 20000), (4, 8, 2000), (3, 7, 200000), (4, 7, 200000),
+    (2, 7, 12345)])
+def test_best_class_leaves_a_leaf_by_leaf_incumbent(monkeypatch, d, n,
+                                                     budget):
+    # a second evaluator offered every live leaf of each block, in
+    # position order, as a leaf-by-leaf run offers them, ends every block
+    # with the search's incumbent, its pre-key and its canonical key
+    ref, kept, blocks = search._Leaves(d, n), [], [0]
+    evaluate, block = search._Leaves.evaluate, search._Leaves.block
+
+    def evaluate_once(leaves, pres, covers):
+        kept.append(evaluate(leaves, pres, covers))
+        return kept[-1]
+
+    def block_and_compare(leaves, prefix, covers, k):
+        kept.clear()
+        block(leaves, prefix, covers, k)
+        (live, wider), = kept
+        table = _position_cands(k)
+        for p, diam in _verdicts(live, wider):
+            ref._offer(prefix | table[p] << (len(ref.cands) - k), diam)
+        assert (ref.mu, ref.witness and ref.witness.facets, ref.prekey,
+                ref.key) == (leaves.mu, leaves.witness
+                             and leaves.witness.facets, leaves.prekey,
+                             leaves.key), (prefix, k)
+        blocks[0] += 1
+    monkeypatch.setattr(search._Leaves, "evaluate", evaluate_once)
+    monkeypatch.setattr(search._Leaves, "block", block_and_compare)
+    res = enumerate_mu(d, n, SearchBudget(max_nodes=budget))
+    assert blocks[0] and res.mu == ref.mu >= 1
 
 
 def _positions_mask(width, holds):
@@ -693,26 +731,27 @@ def _leaf_oracle(d, n, cands):
                                        (4, 6, None), (3, 7, 2048),
                                        (4, 8, 1024)])
 def test_block_verdicts_match_the_oracles(d, n, limit):
-    # with the incumbent held at mu = -1, a block offers exactly its
-    # connected (S2) leaves, in position order, each with its diameter:
-    # every leaf of a cell, or its first `limit` leaves with the block
-    # they end in cut to its lowest positions, as a node budget cuts it,
-    # and the complex of all candidates as a block of one position.  The
-    # masked-graph oracle is checked against is_s2 and diameter on every
-    # leaf but (3,6)'s 522,775, where it stands alone
+    # with the incumbent at mu = -1, evaluate keeps exactly a block's
+    # connected (S2) leaves, each with its diameter: every leaf of a
+    # cell, or its first `limit` leaves with the block they end in cut to
+    # its lowest positions, as a node budget cuts it, and the complex of
+    # all candidates as a block of one position.  The masked-graph oracle
+    # is checked against is_s2 and diameter on every leaf but (3,6)'s
+    # 522,775, where it stands alone
     leaves = search._Leaves(d, n)
     cands = leaves.cands
     m = len(cands)
-    offered = []
-    leaves._offer = lambda chosen, diam: offered.append((chosen, diam))
     oracle = _leaf_oracle(d, n, cands)
     reference = (d, n) != (3, 6)
+    verdicts = []
 
     def check(prefix, covers, k):
-        offered.clear()
-        leaves.block(prefix, covers, k)
+        pres = [covers if prefix >> i & 1 else 0 for i in range(m - k)]
+        pres += [covers & s for s in search._slices(k)[0]]
+        verdicts[:] = _verdicts(*leaves.evaluate(pres, covers))
         want = []
-        for chosen in _block_leaves(m, prefix, covers, k):
+        for p, chosen in zip(_positions(covers),
+                             _block_leaves(m, prefix, covers, k)):
             diam = oracle(chosen)
             if reference:
                 cx = SimplicialComplex(n, tuple(c for i, c in enumerate(cands)
@@ -720,8 +759,8 @@ def test_block_verdicts_match_the_oracles(d, n, limit):
                 assert diam == (diameter(build_dual_graph(cx)) if is_s2(cx)
                                 else None), chosen
             if diam is not None:
-                want.append((chosen, diam))
-        assert offered == want, (prefix, k)
+                want.append((p, diam))
+        assert verdicts == want, (prefix, k)
         return covers.bit_count()
 
     levels, k = search._task_levels(d, n), search._block_levels(d, n)
@@ -736,7 +775,7 @@ def test_block_verdicts_match_the_oracles(d, n, limit):
                 covers &= ~(1 << covers.bit_length() - 1)
         checked += check(prefix, covers, k)
     assert checked == (search.leaf_count(d, n) if limit is None else limit)
-    assert check((1 << m) - 1, 1, 0) == 1 and offered
+    assert check((1 << m) - 1, 1, 0) == 1 and verdicts
     assert leaves.mu == -1
 
 
@@ -775,11 +814,23 @@ def test_mu_4_6_runs_the_separator_check():
     track(res.witness, res.mu)
 
 
-@pytest.mark.parametrize("d,n,best", [(2, 6, 3), (3, 6, 2), (4, 6, 1)])
+# the facets of the leaf that raises, in candidate order, as a run that
+# offers every live leaf in position order computes them
+_GATE_FACETS = {
+    (2, 6, 3): (3, 33, 6, 10, 12, 48),
+    (3, 6, 2): (7, 13, 21, 37, 25, 41, 49, 14, 22, 38, 26, 42, 50, 28, 44,
+                52, 56),
+    (4, 6, 1): (15, 43, 51, 29, 45, 53, 57, 30, 46, 54, 58, 60),
+    (2, 6, 1): (3, 33, 6, 10, 18, 34, 12, 20, 36, 24, 40, 48),
+    (2, 7, 3): (3, 33, 65, 6, 10, 18, 12, 20, 24, 96)}
+
+
+@pytest.mark.parametrize("d,n,best", list(_GATE_FACETS))
 def test_bound_gate_fires_inside_blocks(monkeypatch, d, n, best):
-    # with the bound lowered below mu, a leaf of diameter best + 1 must
-    # reach the gate: the block rules drop only diameters <= mu and the
-    # leaves that fail (S2)
+    # with the bound lowered below mu, the lowest leaf above it raises,
+    # of diameter best + 1, not the block's leaf of largest diameter
+    # (diameters 4 and 5 in the last two cases): the block rules drop
+    # only diameters <= mu and the leaves that fail (S2)
     real = search.bounds
     monkeypatch.setattr(search, "bounds",
                         lambda d, n: replace(real(d, n), best=best))
@@ -787,6 +838,7 @@ def test_bound_gate_fires_inside_blocks(monkeypatch, d, n, best):
         enumerate_mu(d, n)
     assert is_s2(ei.value.complex_)
     assert diameter(build_dual_graph(ei.value.complex_)) == best + 1
+    assert ei.value.complex_.facets == _GATE_FACETS[d, n, best]
 
 
 def test_exhaustive_leaf_total_is_checked(monkeypatch):
@@ -846,15 +898,36 @@ def _reference_task_leaves(cands, levels, task):
     return dfs(1 + levels, chosen, covered)
 
 
-def _block_leaves(m, prefix, covers, k):
-    """A block's leaves in position order: position p includes candidate
-    m - k + j exactly when bit k-1-j of p is clear."""
-    bits = bin(covers)[:1:-1]  # bit p of covers at index p
+def _positions(mask):
+    """The set bits of `mask`, lowest first."""
+    bits = format(mask, "b")[::-1]  # bit p of mask at index p
     p = bits.find("1")
     while p >= 0:
-        yield prefix | sum(1 << (m - k + j) for j in range(k)
-                           if not p >> (k - 1 - j) & 1)
+        yield p
         p = bits.find("1", p + 1)
+
+
+def _verdicts(live, wider):
+    """(position, diameter) of each leaf of `live`, lowest first: wider[r]
+    holds the live leaves of diameter > r."""
+    width = live.bit_length()
+    rows = [format(w, "b")[::-1].ljust(width, "0") for w in wider if w]
+    return [(p, sum(row[p] == "1" for row in rows))
+            for p in _positions(live)]
+
+
+@cache
+def _position_cands(k):
+    """The block candidates of each position p < 2^k, candidate j at bit
+    j: position p includes it exactly when bit k-1-j of p is clear."""
+    return [sum(1 << j for j in range(k) if not p >> (k - 1 - j) & 1)
+            for p in range(1 << k)]
+
+
+def _block_leaves(m, prefix, covers, k):
+    """A block's leaves in position order."""
+    table = _position_cands(k)
+    return (prefix | table[p] << (m - k) for p in _positions(covers))
 
 
 def _expand_blocks(cands, levels, task, k):
