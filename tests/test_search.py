@@ -592,9 +592,9 @@ def test_best_class_leaves_a_leaf_by_leaf_incumbent(monkeypatch, d, n,
         kept.clear()
         block(leaves, prefix, covers, k)
         (live, wider), = kept
-        table = _position_cands(k)
-        for p, diam in _verdicts(live, wider):
-            ref._offer(prefix | table[p] << (len(ref.cands) - k), diam)
+        for (_, diam), chosen in zip(_verdicts(live, wider), _block_leaves(
+                len(ref.cands), prefix, live, k)):
+            ref._offer(chosen, diam)
         assert (ref.mu, ref.witness and ref.witness.facets, ref.prekey,
                 ref.key) == (leaves.mu, leaves.witness
                              and leaves.witness.facets, leaves.prekey,
