@@ -25,6 +25,10 @@ MAX_UNIVERSE = 128
 VertexSet = int
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def mask_of(vertices: Iterable[int]) -> VertexSet:
     m = 0
     for v in vertices:
@@ -218,8 +222,8 @@ def alexander_dual_ideal(cx: SimplicialComplex) -> MonomialIdeal:
 
 def cone(cx: SimplicialComplex, extra: int) -> SimplicialComplex:
     """Add the same `extra` fresh vertices to every facet."""
-    if extra < 1:
-        raise BadParams("cone needs extra >= 1")
+    if not (_is_int(extra) and extra >= 1):
+        raise BadParams("cone needs an integer extra >= 1, not %r" % (extra,))
     if cx.n + extra > MAX_UNIVERSE:
         raise VertexOutOfRange("cone exceeds %d vertices" % MAX_UNIVERSE)
     apex = ((1 << extra) - 1) << cx.n

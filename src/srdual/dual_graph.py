@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex, default_names, facet_label
+from .complexes import SimplicialComplex, _is_int, default_names, facet_label
 from .errors import DimensionTooSmall, EmptyGraph, NotPure, UnknownNode
 
 
@@ -106,8 +106,7 @@ def bfs(adj, start: int, allowed: int):
 
 def eccentricity(g: DualGraph, start: int):
     """Max BFS distance from `start`; UNBOUNDED if some node is unreachable."""
-    if (isinstance(start, bool) or not isinstance(start, int)
-            or not 0 <= start < g.node_count):
+    if not (_is_int(start) and 0 <= start < g.node_count):
         raise UnknownNode("not a node index: %r" % (start,))
     everything = (1 << g.node_count) - 1
     reached, levels = bfs(g.adjacency, 1 << start, everything)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .complexes import (SimplicialComplex, antichain, cone, from_facets, image,
-                        mask_of, vertices_of)
+from .complexes import (SimplicialComplex, _is_int, antichain, cone,
+                        from_facets, image, mask_of, vertices_of)
 from .dual_graph import build_dual_graph, diameter
 from .errors import BadParams, ContractViolation, UnknownFamily
 from .gluing import GlueSpec, append_facet_chain, right_vertex_map
@@ -104,24 +104,25 @@ def _d3_blocks(k):
 
 
 def _k_j(j_min, j_default=None):
-    """Parameter check of a glued family: k >= 1 and j >= j_min."""
+    """Parameter check of a glued family: integers k >= 1 and j >= j_min."""
     def params(fam):
         j = fam.j if fam.j is not None else j_default
-        if fam.k is None or fam.k < 1 or j is None or j < j_min:
-            raise BadParams("%s needs k >= 1, j >= %d" % (fam.name, j_min))
+        if not (_is_int(fam.k) and fam.k >= 1 and _is_int(j) and j >= j_min):
+            raise BadParams("%s needs integers k >= 1, j >= %d"
+                            % (fam.name, j_min))
         return fam.k, j
     return params
 
 
 def _path_n(fam):
-    if fam.n is None or fam.n < 3:
-        raise BadParams("path2 needs n >= 3")
+    if not (_is_int(fam.n) and fam.n >= 3):
+        raise BadParams("path2 needs an integer n >= 3")
     return (fam.n,)
 
 
 def _cell(fam):
-    if fam.d is None or fam.n is None:
-        raise BadParams("table1_witness needs d and n")
+    if not (_is_int(fam.d) and _is_int(fam.n)):
+        raise BadParams("table1_witness needs integers d and n")
     if (fam.d, fam.n) not in _WITNESSES:
         raise BadParams("no witness recorded for d=%d, n=%d" % (fam.d, fam.n))
     return fam.d, _WITNESSES[fam.d, fam.n]

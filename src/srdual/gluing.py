@@ -12,6 +12,7 @@ from typing import Mapping
 
 from .complexes import (
     SimplicialComplex,
+    _is_int,
     antichain,
     compact,
     default_names,
@@ -83,8 +84,9 @@ def glue(spec: GlueSpec) -> SimplicialComplex:
     if dl is None or dr is None or dl != dr:
         raise DimensionMismatch("both complexes must be pure of equal facet size")
     d = dl
-    if spec.level < 2:
-        raise BadParams("glue targets Serre level >= 2")
+    if not (_is_int(spec.level) and spec.level >= 2):
+        raise BadParams("glue targets an integer Serre level >= 2, not %r"
+                        % (spec.level,))
     if spec.level > 3:
         raise UnsupportedLevel("(S_%d) precondition not checkable" % (spec.level - 1))
 
@@ -133,8 +135,8 @@ def append_facet_chain(cx: SimplicialComplex, start: int,
     """
     if start not in cx.facets:
         raise NotAFacet("chain start must be a facet")
-    if steps < 0:
-        raise BadParams("steps must be >= 0")
+    if not (_is_int(steps) and steps >= 0):
+        raise BadParams("steps must be an integer >= 0, not %r" % (steps,))
     if steps == 0:
         return cx
     window = vertices_of(start)  # ascending: lowest index is dropped first

@@ -96,7 +96,8 @@ from numbers import Real
 from operator import and_, or_
 from typing import Optional
 
-from .complexes import MAX_UNIVERSE, SimplicialComplex, mask_of, star_masks
+from .complexes import (MAX_UNIVERSE, SimplicialComplex, _is_int, mask_of,
+                        star_masks)
 from .errors import BadParams, BoundViolation, ContractViolation
 from .dual_graph import UNBOUNDED, build_dual_graph, diameter
 
@@ -109,10 +110,6 @@ class UpperBounds:
     n: int
     entries: dict[str, int]  # bound name -> value, for the bounds that apply
     best: int
-
-
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_cell(d, n):
@@ -727,7 +724,10 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
     _check_cell(d, n)
     if n > MAX_UNIVERSE:
         raise BadParams("need n <= %d" % MAX_UNIVERSE)
-    budget = budget or SearchBudget()
+    if budget is None:
+        budget = SearchBudget()
+    elif not isinstance(budget, SearchBudget):
+        raise BadParams("budget must be a SearchBudget, not %r" % (budget,))
     max_nodes, max_seconds = budget.max_nodes, budget.max_seconds
     for value, kind in ((max_nodes, int), (max_seconds, Real)):
         if value is not None and (not isinstance(value, kind)

@@ -26,6 +26,7 @@ from typing import Optional
 from .complexes import (
     MonomialIdeal,
     SimplicialComplex,
+    _is_int,
     star_masks,
     vertices_of,
 )
@@ -171,7 +172,7 @@ _FIELD_BOUND = 1 << 31
 def _check_field(field):
     """Reject a field that is neither Q (0) nor GF(p) for a prime p below
     _FIELD_BOUND.  The type comes first, so 0.0 and False are not Q."""
-    if isinstance(field, int) and not isinstance(field, bool):
+    if _is_int(field):
         if field == 0 or (2 <= field < _FIELD_BOUND and all(
                 field % q for q in range(2, isqrt(field) + 1))):
             return

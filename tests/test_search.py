@@ -318,29 +318,13 @@ def test_search_matches_brute_force(d, n, leaves):
     assert res.mu == mu and res.exhaustive
 
 
-def _reference_leaf_diameter(adj, idxs, chosen, m, col):
-    """Diameter of a connected leaf: row p of one packed int, bits
-    [p*m, (p+1)*m), is the ball around idxs[p], and each step grows every
-    ball by one edge; col has bit p*m set for every row."""
-    balls = 0
-    for p, i in enumerate(idxs):
-        balls |= 1 << (p * m + i)
-    full = chosen * col
-    steps = 0
-    while balls != full:
-        grown = balls
-        for j in idxs:
-            grown |= ((balls >> j) & col) * adj[j]
-        balls = grown & full
-        steps += 1
-    return steps
-
-
 class _ReferenceLeaves:
     """A leaf-by-leaf evaluator with the search's rules, kept as its oracle.
 
-    No blocks and no bit slices: for each leaf, one BFS for connectivity,
-    one BFS per face star and a packed diameter.
+    No blocks and no bit slices: `verdict` runs one BFS per face star and
+    a packed diameter, which also finds a disconnected leaf; `offer` runs
+    the proved bound and the tie-break; a call runs the eccentricity
+    probe, then both.
     """
 
     def __init__(self, d, n):
@@ -355,35 +339,70 @@ class _ReferenceLeaves:
         self.best_bound = bounds(d, n).best
         self.mu, self.witness, self.prekey, self.key = -1, None, None, None
 
-    def __call__(self, chosen):
+    def verdict(self, chosen):
+        """The diameter of a leaf, or None when it is not connected (S2).
+
+        A leaf's dual graph is the all-candidate graph's subgraph induced
+        on the leaf.  (S2) holds iff it is connected and the leaf's star of
+        each face s of 1 to d-2 vertices is connected: two facets u, v of
+        that star meet in d-1 vertices, and are adjacent, or in a
+        separator u∩v ⊇ s of fewer, whose star lies inside that of s.
+        """
         adj = self.adj
-        reached, levels = bfs(adj, chosen & -chosen, chosen)
-        if reached != chosen:
-            return None
-        if 2 * (len(levels) - 1) < self.mu:
-            return None
         for fs in self.face_stars:
             sub = fs & chosen
-            if sub and bfs(adj, sub & -sub, sub)[0] != sub:
+            if bfs(adj, sub & -sub, sub)[0] != sub:
                 return None
+        # row p of one packed int, bits [p*m, (p+1)*m), is the ball around
+        # the leaf's p-th facet, and each step grows every ball by one edge;
+        # col has bit p*m set for every row.  The diameter is the number of
+        # steps until every ball is the leaf; a disconnected leaf stops
+        # growing first
         idxs = vertices_of(chosen)
-        size = len(idxs)
-        m = len(self.cands)
-        col = sum(1 << (p * m) for p in range(size))
-        diam = _reference_leaf_diameter(adj, idxs, chosen, m, col)
+        m = len(adj)
+        col = ((1 << len(idxs) * m) - 1) // ((1 << m) - 1)
+        balls = 0
+        for p, i in enumerate(idxs):
+            balls |= 1 << (p * m + i)
+        full = chosen * col
+        steps = 0
+        while balls != full:
+            grown = balls
+            for j in idxs:
+                grown |= ((balls >> j) & col) * adj[j]
+            if grown & full == balls:
+                return None
+            balls = grown & full
+            steps += 1
+        return steps
+
+    def __call__(self, chosen):
+        """Offer a leaf that passes the eccentricity probe and the verdict:
+        its diameter, or None when one of them drops it."""
+        levels = bfs(self.adj, chosen & -chosen, chosen)[1]
+        if 2 * (len(levels) - 1) < self.mu:
+            return None
+        diam = self.verdict(chosen)
+        if diam is not None:
+            self.offer(chosen, diam)
+        return diam
+
+    def offer(self, chosen, diam):
+        """The proved bound, then the tie-break, for a connected (S2) leaf."""
+        idxs = vertices_of(chosen)
+        cx = SimplicialComplex(self.n, tuple(self.cands[i] for i in idxs))
         if diam > self.best_bound:
-            cx = SimplicialComplex(self.n, tuple(self.cands[i] for i in idxs))
             raise search.BoundViolation(
                 "diameter %d exceeds proved bound %d for d=%d n=%d: %r"
                 % (diam, self.best_bound, self.d, self.n, cx), cx)
         if diam < self.mu:
-            return diam
+            return
+        size = len(idxs)
         if diam == self.mu and size > self.prekey[0]:
-            return diam
+            return
         pk = search._prekey([s & chosen for s in self.star], size)
         if diam == self.mu and pk > self.prekey:
-            return diam
-        cx = SimplicialComplex(self.n, tuple(self.cands[i] for i in idxs))
+            return
         if diam > self.mu or pk < self.prekey:
             self.mu, self.witness, self.prekey, self.key = diam, cx, pk, None
         else:
@@ -392,7 +411,28 @@ class _ReferenceLeaves:
             key = canonical_form(cx).facets
             if key < self.key:
                 self.witness, self.key = cx, key
-        return diam
+
+
+def test_tie_break_keeps_the_least_canonical_key():
+    # the 6-cycle and two triangles are (2,6) leaves of six facets whose
+    # vertices all have the profile (2, (2, 2)), so size and pre-key tie
+    # and the canonical key decides: the triangles win in either order
+    cycle = from_facets([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]])
+    triangles = from_facets([[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]])
+    key = (3, 5, 6, 24, 40, 48)
+    assert canonical_form(triangles).facets == key < canonical_form(
+        cycle).facets
+    assert len({search._prekey(star_masks(cx.facets, 6), 6)
+                for cx in (cycle, triangles)}) == 1
+    for order in ((cycle, triangles), (triangles, cycle)):
+        fast, ref = search._Leaves(2, 6), _ReferenceLeaves(2, 6)
+        index = {c: i for i, c in enumerate(ref.cands)}
+        for cx in order:
+            chosen = sum(1 << index[f] for f in cx.facets)
+            fast._offer(chosen, 3)
+            ref.offer(chosen, 3)
+        for leaves in (fast, ref):
+            assert (leaves.witness.facets, leaves.key) == (key, key), order
 
 
 def _reference_leaves(d, n):
@@ -578,10 +618,10 @@ def test_incumbents_do_not_depend_on_the_block_width(tmp_path, monkeypatch,
     (2, 7, 12345)])
 def test_best_class_leaves_a_leaf_by_leaf_incumbent(monkeypatch, d, n,
                                                      budget):
-    # a second evaluator offered every live leaf of each block, in
-    # position order, as a leaf-by-leaf run offers them, ends every block
-    # with the search's incumbent, its pre-key and its canonical key
-    ref, kept, blocks = search._Leaves(d, n), [], [0]
+    # the reference offered every live leaf of each block, in position
+    # order, as a leaf-by-leaf run offers them, ends every block with the
+    # search's incumbent, its pre-key and its canonical key
+    ref, kept, blocks = _ReferenceLeaves(d, n), [], [0]
     evaluate, block = search._Leaves.evaluate, search._Leaves.block
 
     def evaluate_once(leaves, pres, covers):
@@ -594,7 +634,7 @@ def test_best_class_leaves_a_leaf_by_leaf_incumbent(monkeypatch, d, n,
         (live, wider), = kept
         for (_, diam), chosen in zip(_verdicts(live, wider), _block_leaves(
                 len(ref.cands), prefix, live, k)):
-            ref._offer(chosen, diam)
+            ref.offer(chosen, diam)
         assert (ref.mu, ref.witness and ref.witness.facets, ref.prekey,
                 ref.key) == (leaves.mu, leaves.witness
                              and leaves.witness.facets, leaves.prekey,
@@ -695,38 +735,6 @@ def test_sliced_bfs_matches_per_leaf_bfs():
     assert cut_off
 
 
-def _leaf_oracle(d, n, cands):
-    """The diameter of a leaf (a mask over `cands`), or None when the
-    leaf is not (S2), read off the dual graph of all candidates: a leaf's
-    dual graph is that graph's subgraph induced on the leaf.
-
-    (S2) holds iff the leaf's star of each face s of fewer than d-1
-    vertices is connected: two facets u, v of that star meet in d-1
-    vertices, and are adjacent, or in a separator u∩v ⊇ s of fewer,
-    whose star lies inside that of s.  One BFS per star tests that; then
-    one BFS per facet gives the diameter.
-    """
-    m = len(cands)
-    adj = build_dual_graph(SimplicialComplex(n, tuple(cands))).adjacency
-    vertex_stars = star_masks(cands, n)
-    stars = [reduce(and_, (vertex_stars[v] for v in face), (1 << m) - 1)
-             for size in range(d - 1) for face in combinations(range(n), size)]
-
-    def oracle(chosen):
-        for star in stars:
-            allowed = star & chosen
-            if bfs(adj, allowed & -allowed, allowed)[0] != allowed:
-                return None
-        diam = 0
-        f = chosen
-        while f:
-            b = f & -f
-            diam = max(diam, len(bfs(adj, b, chosen)[1]) - 1)
-            f ^= b
-        return diam
-    return oracle
-
-
 @pytest.mark.parametrize("d,n,limit", [(2, 6, None), (3, 6, None),
                                        (4, 6, None), (3, 7, 2048),
                                        (4, 8, 1024)])
@@ -735,13 +743,12 @@ def test_block_verdicts_match_the_oracles(d, n, limit):
     # connected (S2) leaves, each with its diameter: every leaf of a
     # cell, or its first `limit` leaves with the block they end in cut to
     # its lowest positions, as a node budget cuts it, and the complex of
-    # all candidates as a block of one position.  The masked-graph oracle
+    # all candidates as a block of one position.  The reference verdict
     # is checked against is_s2 and diameter on every leaf but (3,6)'s
     # 522,775, where it stands alone
-    leaves = search._Leaves(d, n)
+    leaves, ref = search._Leaves(d, n), _ReferenceLeaves(d, n)
     cands = leaves.cands
     m = len(cands)
-    oracle = _leaf_oracle(d, n, cands)
     reference = (d, n) != (3, 6)
     verdicts = []
 
@@ -752,7 +759,7 @@ def test_block_verdicts_match_the_oracles(d, n, limit):
         want = []
         for p, chosen in zip(_positions(covers),
                              _block_leaves(m, prefix, covers, k)):
-            diam = oracle(chosen)
+            diam = ref.verdict(chosen)
             if reference:
                 cx = SimplicialComplex(n, tuple(c for i, c in enumerate(cands)
                                                 if chosen >> i & 1))
@@ -980,6 +987,10 @@ def _checkpoint(tmp_path, *lines):
     ("d=2 n=5", "incumbent 2 5 6 c 18"),  # diameter 2, but no {0,1}
     ("d=2 n=5", "done 1"),  # no leaf count
     ("d=2 n=5", "done 1 5", "done 1 5"),  # a task twice
+    # a task twice, the second time with its true leaf count
+    ("d=2 n=5", "done 0 10", "done 0 45", "incumbent 3 3 6 c 18"),
+    # connected (S2) of diameter 3, but no {0,1}
+    ("d=2 n=5", "incumbent 3 5 6 a 18"),
 ])
 def test_bad_checkpoint_is_rejected(tmp_path, lines):
     with pytest.raises(BadParams):
