@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -220,16 +221,30 @@ def alexander_dual_ideal(cx: SimplicialComplex) -> MonomialIdeal:
     return MonomialIdeal(cx.n, gens)
 
 
+def _grow(cx: SimplicialComplex, facets: Iterable[int],
+          fresh_names: Iterable[str]) -> SimplicialComplex:
+    """The complex of `facets`, reduced to an antichain, on cx's vertices
+    and then one fresh vertex per entry of `fresh_names`, in order.
+
+    A named cx names each fresh vertex by its entry, primed until unused.
+    `fresh_names` is read up to one entry past the MAX_UNIVERSE cap, and
+    `facets` only once the cap holds, so lazy arguments cost no more.
+    """
+    names = list(cx.vertex_names)
+    for name in islice(fresh_names, MAX_UNIVERSE - cx.n + 1):
+        while name in names:
+            name += "'"
+        names.append(name)
+    if len(names) > MAX_UNIVERSE:
+        raise VertexOutOfRange("universe larger than %d vertices" % MAX_UNIVERSE)
+    return SimplicialComplex(len(names), tuple(antichain(facets)),
+                             tuple(names) if cx.names is not None else None)
+
+
 def cone(cx: SimplicialComplex, extra: int) -> SimplicialComplex:
-    """Add the same `extra` fresh vertices to every facet."""
+    """Add the same `extra` fresh vertices, named c0, c1, ..., to every facet."""
     if not (_is_int(extra) and extra >= 1):
         raise BadParams("cone needs an integer extra >= 1, not %r" % (extra,))
-    if cx.n + extra > MAX_UNIVERSE:
-        raise VertexOutOfRange("cone exceeds %d vertices" % MAX_UNIVERSE)
-    apex = ((1 << extra) - 1) << cx.n
-    names = None
-    if cx.names is not None:
-        names = cx.names + tuple("c%d" % i for i in range(extra))
-    return SimplicialComplex(cx.n + extra,
-                             tuple(sorted(f | apex for f in cx.facets)),
-                             names)
+    # lazy, so that no apex is built for an extra past the cap
+    return _grow(cx, (f | ((1 << extra) - 1) << cx.n for f in cx.facets),
+                 ("c%d" % i for i in range(extra)))

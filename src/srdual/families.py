@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .complexes import (SimplicialComplex, _is_int, antichain, cone,
-                        from_facets, image, mask_of, vertices_of)
+from .complexes import (SimplicialComplex, _grow, _is_int, cone, from_facets,
+                        image, mask_of, vertices_of)
 from .dual_graph import build_dual_graph, diameter
 from .errors import BadParams, ContractViolation, UnknownFamily
 from .gluing import GlueSpec, append_facet_chain, right_vertex_map
@@ -89,11 +89,11 @@ def _chain(blocks, j):
     """
     cx, _, end = blocks[0]
     for right, start, right_end in blocks[1:]:
-        mapping = right_vertex_map(
-            GlueSpec(cx, right, dict(zip(vertices_of(start), vertices_of(end)))))
-        facets = list(cx.facets) + [image(f, mapping) for f in right.facets]
-        cx = SimplicialComplex(cx.n + right.n - start.bit_count(),
-                               tuple(antichain(facets)))
+        ident = dict(zip(vertices_of(start), vertices_of(end)))
+        mapping = right_vertex_map(GlueSpec(cx, right, ident))
+        cx = _grow(cx, list(cx.facets) + [image(f, mapping) for f in right.facets],
+                   [name for v, name in enumerate(right.vertex_names)
+                    if v not in ident])
         end = image(right_end, mapping)
     return append_facet_chain(cx, end, j)
 

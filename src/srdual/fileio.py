@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import warnings
 
-from .complexes import SimplicialComplex, from_masks, mask_of
+from .complexes import SimplicialComplex, from_masks, mask_of, vertices_of
 from .dual_graph import DualGraph
 from .errors import ParseError
 
@@ -63,13 +63,11 @@ def parse_facet_file(text: str, letters: bool = False) -> SimplicialComplex:
     return cx
 
 
-def serialize_facet_file(cx: SimplicialComplex, letters: bool = False) -> str:
-    names = [cx.vertex_name(v) for v in range(cx.n)]
+def serialize_facet_file(cx: SimplicialComplex) -> str:
+    """The `vertices:` header, then one facet a line, names spaced apart."""
+    names = cx.vertex_names
     lines = ["vertices: " + " ".join(names)]
-    for f in cx.facets:
-        parts = [names[v] for v in range(cx.n) if f >> v & 1]
-        lines.append("".join(parts) if letters and all(len(p) == 1 for p in parts)
-                     else " ".join(parts))
+    lines += [" ".join(names[v] for v in vertices_of(f)) for f in cx.facets]
     return "\n".join(lines) + "\n"
 
 

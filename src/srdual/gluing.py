@@ -8,17 +8,17 @@ dimension at least d-2 and satisfy the Serre level one below the target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Mapping
 
 from .complexes import (
     SimplicialComplex,
+    _grow,
     _is_int,
     antichain,
     compact,
     default_names,
     image,
-    mask_of,
-    vertices_of,
 )
 from .errors import (
     BadParams,
@@ -45,6 +45,8 @@ class GlueSpec:
 def right_vertex_map(spec: GlueSpec) -> dict[int, int]:
     """Map right vertices into the result universe; fresh ones after left."""
     ident = dict(spec.identify)
+    if not all(_is_int(v) for pair in ident.items() for v in pair):
+        raise BadParams("identification map holds a non-integer: %r" % (ident,))
     if len(set(ident.values())) != len(ident):
         raise BadParams("identification map is not injective")
     for a, b in ident.items():
@@ -52,22 +54,9 @@ def right_vertex_map(spec: GlueSpec) -> dict[int, int]:
             raise BadParams("right vertex %d out of range" % a)
         if not 0 <= b < spec.left.n:
             raise BadParams("left vertex %d out of range" % b)
-    mapping = {}
-    fresh = spec.left.n
-    for v in range(spec.right.n):
-        if v in ident:
-            mapping[v] = ident[v]
-        else:
-            mapping[v] = fresh
-            fresh += 1
-    return mapping
-
-
-def _fresh_name(name: str, taken) -> str:
-    """`name` with primes appended until it is not in `taken`."""
-    while name in taken:
-        name += "'"
-    return name
+    fresh = count(spec.left.n)
+    return {v: ident[v] if v in ident else next(fresh)
+            for v in range(spec.right.n)}
 
 
 def overlap_facets(left_facets, right_facets):
@@ -92,7 +81,6 @@ def glue(spec: GlueSpec) -> SimplicialComplex:
 
     mapping = right_vertex_map(spec)
     right_facets = [image(f, mapping) for f in spec.right.facets]
-    total_n = spec.left.n + spec.right.n - len(spec.identify)
     gamma = overlap_facets(spec.left.facets, right_facets)
     if not gamma:
         raise OverlapTooSmall("complexes share no face")
@@ -105,16 +93,9 @@ def glue(spec: GlueSpec) -> SimplicialComplex:
         if not is_s2(compact(gamma)).holds:
             raise OverlapSerreFailure("overlap is not (S_2)")
 
-    names = None
-    if spec.left.names is not None:
-        names = list(spec.left.names)
-        for v in range(spec.right.n):
-            if v not in spec.identify:
-                names.append(_fresh_name(spec.right.vertex_name(v), names))
-        names = tuple(names)
-
-    result = SimplicialComplex(
-        total_n, tuple(antichain(list(spec.left.facets) + right_facets)), names)
+    result = _grow(spec.left, list(spec.left.facets) + right_facets,
+                   [name for v, name in enumerate(spec.right.vertex_names)
+                    if v not in spec.identify])
     if spec.level == 2:
         # a result without (S2) breaks the contract only when both inputs
         # have it, so the inputs are checked only then
@@ -131,23 +112,17 @@ def append_facet_chain(cx: SimplicialComplex, start: int,
 
     Each step drops the oldest retained vertex of the previous end facet
     and adds one fresh vertex, so consecutive chain facets share d-1
-    vertices.  steps == 0 returns cx unchanged.
+    vertices.  steps == 0 returns a copy of cx.
     """
     if start not in cx.facets:
         raise NotAFacet("chain start must be a facet")
     if not (_is_int(steps) and steps >= 0):
         raise BadParams("steps must be an integer >= 0, not %r" % (steps,))
-    if steps == 0:
-        return cx
-    window = vertices_of(start)  # ascending: lowest index is dropped first
-    facets = list(cx.facets)
-    names = list(cx.names) if cx.names is not None else None
-    fresh = cx.n
-    for _ in range(steps):
-        window = window[1:] + [fresh]
-        facets.append(mask_of(window))
-        if names is not None:
-            names.append(_fresh_name(default_names(fresh + 1)[fresh], names))
-        fresh += 1
-    return SimplicialComplex(fresh, tuple(antichain(facets)),
-                             tuple(names) if names is not None else None)
+    fresh = range(cx.n, cx.n + steps)
+
+    def facets(f=start):  # lazy: _grow checks the cap before it reads these
+        yield from cx.facets
+        for v in fresh:
+            f = f ^ (f & -f) | 1 << v  # drop the lowest, oldest vertex; add v
+            yield f
+    return _grow(cx, facets(), (default_names(v + 1)[v] for v in fresh))

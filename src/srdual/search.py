@@ -97,7 +97,7 @@ from operator import and_, or_
 from typing import Optional
 
 from .complexes import (MAX_UNIVERSE, SimplicialComplex, _is_int, mask_of,
-                        star_masks)
+                        star_masks, vertices_of)
 from .errors import BadParams, BoundViolation, ContractViolation
 from .dual_graph import UNBOUNDED, build_dual_graph, diameter
 
@@ -528,7 +528,7 @@ class _Leaves:
 
     def _offer(self, chosen, diam):
         """Offer one connected (S2) leaf of diameter `diam` to the incumbent."""
-        facets = tuple(c for i, c in enumerate(self.cands) if chosen >> i & 1)
+        facets = tuple(sorted(self.cands[i] for i in vertices_of(chosen)))
         if diam > self.best_bound:
             cx = SimplicialComplex(self.n, facets)
             raise BoundViolation(

@@ -13,11 +13,21 @@ BOUND_CHECKS = {"count": 0, "violations": 0}
 
 
 def track(cx, diam=None):
-    """Enforce the diameter-vs-proved-bounds invariant on (S2) complexes.
+    """Enforce the construction invariants on every complex, then the
+    diameter-vs-proved-bounds invariant on (S2) complexes.
 
-    The mu(d,n) bounds say nothing about complexes that fail (S2), so
-    those pass through unchecked.
+    Facets must be ascending, distinct, containment-free and inside the
+    universe, and a name table must name the n vertices apart.  The
+    mu(d,n) bounds say nothing about complexes that fail (S2), so those
+    pass the bound check unchecked.
     """
+    fs = cx.facets
+    if (any(f >= g or f & g == f for f, g in combinations(fs, 2))
+            or any(f >> cx.n for f in fs)
+            or cx.names is not None
+            and not len(cx.names) == len(set(cx.names)) == cx.n):
+        raise AssertionError("construction invariant broken: %r %r"
+                             % (cx, cx.names))
     d = cx.d
     if d is None or d < 2 or d >= cx.n or not is_s2(cx).holds:
         return cx

@@ -164,6 +164,14 @@ def test_construct_stdout_and_check_roundtrip(tmp_path, capsys):
     assert main(["check", f, "--property", "s2"]) == 0
 
 
+def test_construct_past_the_vertex_cap_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "f.txt"
+    assert main(["construct", "glued_d4", "--k", "40", "--j", "0",
+                 "-o", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_search_mu_json(capsys):
     assert main(["search-mu", "--d", "2", "--n", "5", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,4 +1,5 @@
 import random
+from itertools import count
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,8 +15,10 @@ from srdual import (
     from_masks,
     is_s2,
     mask_of,
+    parse_facet_file,
+    serialize_facet_file,
 )
-from srdual.complexes import antichain
+from srdual.complexes import MAX_UNIVERSE, _grow, antichain
 from srdual.errors import (
     BadParams,
     EmptyInput,
@@ -116,6 +119,40 @@ def test_cone_rejects_zero():
     a1 = build(FamilyId("fig_a1"), check=False)
     with pytest.raises(BadParams):
         cone(a1, 0)
+
+
+def test_cone_primes_a_colliding_apex_name():
+    cx = parse_facet_file("vertices: a c0 b\na c0\nc0 b\n")
+    c = track(cone(cx, 1))
+    assert c.names == ("a", "c0", "b", "c0'")
+    again = parse_facet_file(serialize_facet_file(c))
+    assert again == c and again.names == c.names
+
+
+def test_cone_stops_at_the_vertex_cap():
+    a1 = build(FamilyId("fig_a1"), check=False)  # 5 vertices
+    assert cone(a1, MAX_UNIVERSE - 5).n == MAX_UNIVERSE
+    with pytest.raises(VertexOutOfRange):
+        cone(a1, MAX_UNIVERSE - 4)
+
+
+def test_growth_reads_names_to_the_cap_and_no_facet_past_it():
+    # cone and append_facet_chain pass lazy names and facets, so a huge
+    # extra or step count is refused before anything of its size is built
+    a1 = build(FamilyId("fig_a1"), check=False)
+    read = []
+
+    def names():
+        for i in count():
+            read.append(i)
+            yield "v%d" % i
+
+    def facets():
+        raise AssertionError("facets read past the cap")
+        yield
+    with pytest.raises(VertexOutOfRange):
+        _grow(a1, facets(), names())
+    assert len(read) == MAX_UNIVERSE - a1.n + 1
 
 
 def test_cone_codim4_witness():

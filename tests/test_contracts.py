@@ -111,6 +111,18 @@ _SELF_GLUE = {1: 1, 2: 2, 3: 3}
                  id="glue-level-str"),
     pytest.param(lambda: glue(GlueSpec(_FIG, _FIG, _SELF_GLUE, level=None)),
                  id="glue-level-None"),
+    pytest.param(lambda: glue(GlueSpec(_FIG, _FIG, {True: 1, 2: 2, 3: 3})),
+                 id="identify-key-True"),
+    pytest.param(lambda: glue(GlueSpec(_FIG, _FIG, {1.0: 1, 2: 2, 3: 3})),
+                 id="identify-key-1.0"),
+    pytest.param(lambda: glue(GlueSpec(_FIG, _FIG, {"1": 1, 2: 2, 3: 3})),
+                 id="identify-key-str"),
+    pytest.param(lambda: glue(GlueSpec(_FIG, _FIG, {1: True, 2: 2, 3: 3})),
+                 id="identify-value-True"),
+    pytest.param(lambda: glue(GlueSpec(_FIG, _FIG, {1: 1.0, 2: 2, 3: 3})),
+                 id="identify-value-1.0"),
+    pytest.param(lambda: glue(GlueSpec(_FIG, _FIG, {1: "1", 2: 2, 3: 3})),
+                 id="identify-value-str"),
     pytest.param(lambda: expected_diameter(FamilyId("glued_d4", k=1.5, j=0)),
                  id="expected_diameter-glued_d4-k-1.5"),
     pytest.param(lambda: build(FamilyId("glued_d4", k=1.5, j=0)),

@@ -13,7 +13,8 @@ from srdual import (
 from srdual import families
 from srdual.cli import build_parser
 from srdual.complexes import from_masks, image, mask_of, vertices_of
-from srdual.errors import BadParams, ContractViolation, SrdualError, UnknownFamily
+from srdual.errors import (BadParams, ContractViolation, SrdualError,
+                           UnknownFamily, VertexOutOfRange)
 from srdual.families import FAMILY_NAMES, FamilyId, letters
 from srdual.gluing import GlueSpec, append_facet_chain, glue, right_vertex_map
 
@@ -60,6 +61,12 @@ def test_vertex_counts():
     for k in (1, 2):
         for j in (4, 5):
             assert build(FamilyId("glued_d3_g0", k=k, j=j), check=False).n == 8 * k + 3 + j
+
+
+def test_glued_family_past_the_vertex_cap_raises():
+    # 8 + 39 * 4 = 164 vertices
+    with pytest.raises(VertexOutOfRange):
+        build(FamilyId("glued_d4", k=40, j=0))
 
 
 def test_build_self_check_catches_expectations():

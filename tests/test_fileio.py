@@ -11,7 +11,7 @@ from srdual import (
     serialize_facet_file,
 )
 from srdual.errors import ParseError
-from srdual.families import FamilyId
+from srdual.families import _FIGURES, FamilyId
 
 from conftest import corpus
 
@@ -68,9 +68,12 @@ def test_round_trip_over_corpus():
 
 
 def test_round_trip_letters():
-    a2 = build(FamilyId("fig_a2"), check=False)
-    text = serialize_facet_file(a2, letters=True)
-    assert parse_facet_file(text, letters=True) == a2
+    # a letters-mode parse comes back through the one writer, which
+    # spaces names apart, and the default reader
+    a2 = parse_facet_file(_FIGURES["fig_a2"][0].replace(" ", "\n"),
+                          letters=True)
+    again = parse_facet_file(serialize_facet_file(a2))
+    assert again == a2 and again.names == a2.names
 
 
 def test_export_dot_fig_a1():

@@ -14,7 +14,9 @@ from srdual import (
     overlap_facets,
     parse_facet_file,
     serialize_facet_file,
+    vertices_of,
 )
+from srdual.complexes import MAX_UNIVERSE
 from srdual.errors import (
     ContractViolation,
     DimensionMismatch,
@@ -23,6 +25,7 @@ from srdual.errors import (
     OverlapSerreFailure,
     OverlapTooSmall,
     UnsupportedLevel,
+    VertexOutOfRange,
 )
 from srdual.families import FamilyId
 from srdual.serre import S2Verdict
@@ -160,6 +163,21 @@ def test_append_facet_chain_fresh_names_round_trip():
     ext = append_facet_chain(cx, mask_of([1, 2, 3]), 2)
     assert ext.names == ("E", "B", "C", "D", "E'", "F")
     assert parse_facet_file(serialize_facet_file(ext)) == ext
+
+
+def test_growth_stops_at_the_vertex_cap():
+    # a chain of 120 steps off dim4 fills the 128-vertex universe; one
+    # more chain step, or a glue with fresh vertices, goes past it
+    dim4 = _dim4()
+    full = append_facet_chain(dim4, mask_of([4, 5, 6, 7]), 120)
+    assert full.n == MAX_UNIVERSE
+    with pytest.raises(VertexOutOfRange):
+        append_facet_chain(full, full.facets[-1], 1)
+    with pytest.raises(VertexOutOfRange):
+        append_facet_chain(dim4, mask_of([4, 5, 6, 7]), 200)
+    end = dict(enumerate(vertices_of(full.facets[-1])))  # ABCD onto it
+    with pytest.raises(VertexOutOfRange):
+        glue(GlueSpec(full, dim4, end))
 
 
 def test_chain_facets_share_ridges():

@@ -18,6 +18,7 @@ from srdual import (
     diameter,
     enumerate_mu,
     from_facets,
+    from_masks,
     is_s2,
     mask_of,
     search,
@@ -221,6 +222,14 @@ def test_budget_truncates_search():
     assert not timed.exhaustive and timed.nodes_explored == 0
 
 
+def test_uncanonical_witness_keeps_sorted_facets():
+    # past EXACT_CANONICAL_N the witness is the leaf itself, not relabeled;
+    # its facets still come out ascending, as from_masks would order them
+    w = enumerate_mu(2, 13, SearchBudget(max_nodes=3000)).witness
+    assert w.n > search.EXACT_CANONICAL_N
+    assert w == from_masks(w.facets, w.n)
+
+
 def test_checkpoint_resume(tmp_path):
     ck = str(tmp_path / "ck.txt")
     partial = enumerate_mu(2, 6, budget=SearchBudget(max_nodes=200),
@@ -390,7 +399,8 @@ class _ReferenceLeaves:
     def offer(self, chosen, diam):
         """The proved bound, then the tie-break, for a connected (S2) leaf."""
         idxs = vertices_of(chosen)
-        cx = SimplicialComplex(self.n, tuple(self.cands[i] for i in idxs))
+        cx = SimplicialComplex(self.n,
+                               tuple(sorted(self.cands[i] for i in idxs)))
         if diam > self.best_bound:
             raise search.BoundViolation(
                 "diameter %d exceeds proved bound %d for d=%d n=%d: %r"
@@ -821,15 +831,15 @@ def test_mu_4_6_runs_the_separator_check():
     track(res.witness, res.mu)
 
 
-# the facets of the leaf that raises, in candidate order, as a run that
-# offers every live leaf in position order computes them
+# the facets of the leaf that raises, ascending, as a run that offers
+# every live leaf in position order computes them
 _GATE_FACETS = {
-    (2, 6, 3): (3, 33, 6, 10, 12, 48),
-    (3, 6, 2): (7, 13, 21, 37, 25, 41, 49, 14, 22, 38, 26, 42, 50, 28, 44,
+    (2, 6, 3): (3, 6, 10, 12, 33, 48),
+    (3, 6, 2): (7, 13, 14, 21, 22, 25, 26, 28, 37, 38, 41, 42, 44, 49, 50,
                 52, 56),
-    (4, 6, 1): (15, 43, 51, 29, 45, 53, 57, 30, 46, 54, 58, 60),
-    (2, 6, 1): (3, 33, 6, 10, 18, 34, 12, 20, 36, 24, 40, 48),
-    (2, 7, 3): (3, 33, 65, 6, 10, 18, 12, 20, 24, 96)}
+    (4, 6, 1): (15, 29, 30, 43, 45, 46, 51, 53, 54, 57, 58, 60),
+    (2, 6, 1): (3, 6, 10, 12, 18, 20, 24, 33, 34, 36, 40, 48),
+    (2, 7, 3): (3, 6, 10, 12, 18, 20, 24, 33, 65, 96)}
 
 
 @pytest.mark.parametrize("d,n,best", list(_GATE_FACETS))
