@@ -152,17 +152,21 @@ def _cmd_search_mu(args) -> int:
                           max_seconds=args.budget_seconds)
     res = enumerate_mu(args.d, args.n, budget=budget,
                        checkpoint=args.checkpoint)
+    visited = res.nodes_explored - res.resumed_leaves  # by this run
+    rate = visited / res.elapsed if res.elapsed else 0
     lines = ["mu(%d, %d) %s %d" % (res.d, res.n,
                                    "=" if res.exhaustive else ">=", res.mu),
              "exhaustive: %s" % res.exhaustive,
              "nodes explored: %d" % res.nodes_explored,
              "resumed leaves: %d" % res.resumed_leaves,
-             "elapsed: %.1f s" % res.elapsed]
+             "elapsed: %.1f s" % res.elapsed,
+             "leaf rate: %.0f leaves/s" % rate]
     payload = {"d": res.d, "n": res.n, "mu": res.mu,
                "exhaustive": res.exhaustive,
                "nodes_explored": res.nodes_explored,
                "resumed_leaves": res.resumed_leaves,
-               "elapsed": res.elapsed, "witness": None}
+               "elapsed": res.elapsed, "leaves_per_s": rate,
+               "witness": None}
     if res.witness is not None:
         w = res.witness
         labels = [w.facet_name(f) for f in w.facets]

@@ -10,10 +10,14 @@ Leaves are visited in blocks.  A block holds the covering leaves that
 agree on all candidates but the last k (k = 16, or fewer on small
 cells); position p of a block includes the candidate m-k+j exactly when
 bit k-1-j of p is clear, so p = 0 includes all of them and positions
-run in the old include-first DFS order.  One 2^k-bit int then holds one
-bit per leaf.  A generator yields the block prefixes in DFS order, with
+run in the old include-first DFS order, and a 2^k-bit int holds one bit
+per position.  A generator yields the block prefixes in DFS order, with
 the mask of their covering positions: the AND of per-vertex cover
-patterns over the vertices the prefix misses.
+patterns over the vertices the prefix misses.  The evaluator runs on
+the block packed to the bytes of that mask, after the orbit filter
+below, that hold a position to offer: packed position t is bit t & 7 of
+the (t >> 3)-th such byte, so the order is kept, and only an offered
+leaf is mapped back to its position.
 
 One evaluator per (d, n) keeps the incumbent and runs every leaf rule
 but the last two on whole blocks, through one bit-sliced BFS that runs
@@ -389,22 +393,67 @@ def _sliced_bfs(nbrs, pres, frontier, lo=0):
 
 @cache
 def _slices(k):
-    """Position tables of a block that varies k candidates.
-
-    inc[j]: the positions that include the block's candidate j, those
-    with bit k-1-j clear; fewer[c]: the positions with fewer than c set
-    bits, that is with more than k-c block candidates.  Built from the
-    tables of k-1: position p < 2^(k-1) includes candidate 0 and holds
-    the others as position p of those tables does; position p + 2^(k-1)
-    holds the same others, lacks candidate 0 and has one more set bit.
+    """inc[j], for a block that varies k candidates: the positions that
+    include the block's candidate j, those with bit k-1-j clear.  Built
+    from the tables of k-1: position p < 2^(k-1) includes candidate 0 and
+    holds the others as position p of those tables does; position
+    p + 2^(k-1) holds the same others and lacks candidate 0.
     """
     if not k:
-        return (), (0, 1)
-    inc, fewer = _slices(k - 1)
+        return ()
     half = 1 << (k - 1)
-    return (((1 << half) - 1,) + tuple(s | s << half for s in inc),
-            tuple(lo | hi << half
-                  for lo, hi in zip(fewer + fewer[-1:], (0,) + fewer)))
+    return ((1 << half) - 1,) + tuple(s | s << half for s in _slices(k - 1))
+
+
+@cache
+def _packing(k):
+    """Tables that pack a block of 2^k positions to the bytes that hold one.
+
+    Position 8i + u is bit u of byte i.  The first table translates each
+    nonzero byte to 0xff, giving the mask of the kept bytes.  Byte i of
+    the ints lo, hi and pops is 0x80 | (i & 0x7f), 0x80 | i >> 7 and 1 +
+    the set bits of i; none is 0, so one masked to the kept bytes, less
+    its zero bytes, holds one byte per kept byte.  rows[b] translates
+    such a byte into the packed positions with bit b clear: bits 0-2 are
+    those of u, bits 3-9 bits 0-6 of lo's byte, bits 10-15 bits 0-5 of
+    hi's.  at_least[c] translates a byte of pops into the packed
+    positions with at least c set bits.
+    """
+    size = (1 << k) + 7 >> 3
+    lo, hi, pops = (int.from_bytes(bytes(map(f, range(size))), "little")
+                    for f in (lambda i: 0x80 | i & 0x7F,
+                              lambda i: 0x80 | i >> 7,
+                              lambda i: 1 + i.bit_count()))
+    clear = [sum(1 << u for u in range(8) if not u >> b & 1) for b in range(3)]
+    rows = [bytes(clear[b] if b < 3 else 0 if v >> (b - 3) % 7 & 1 else 0xFF
+                  for v in range(256)) for b in range(k)]
+    at_least = [bytes(sum(1 << u for u in range(8) if v + u.bit_count() > c)
+                      for v in range(256)) for c in range(k + 1)]
+    return b"\0" + b"\xff" * 255, lo, hi, pops, rows, at_least
+
+
+def _pack(covers, k):
+    """A block's positions packed to the bytes of `covers` that hold one.
+
+    Returns (covers, inc, lo, hi, pops) in packed positions: inc as
+    _slices(k) says, and the bytes _position and at_least read, one per
+    kept byte.  Packing keeps the positions in order.
+    """
+    nonzero, lo, hi, pops, rows, _ = _packing(k)
+    size = (1 << k) + 7 >> 3
+    held = covers.to_bytes(size, "little")
+    kept = int.from_bytes(held.translate(nonzero), "little")
+    lo, hi, pops = ((kept & t).to_bytes(size, "little").translate(None, b"\0")
+                    for t in (lo, hi, pops))
+    covers = int.from_bytes(held.translate(None, b"\0"), "little")
+    inc = [covers & int.from_bytes((lo if b < 10 else hi).translate(rows[b]),
+                                   "little") for b in range(k - 1, -1, -1)]
+    return covers, inc, lo, hi, pops
+
+
+def _position(lo, hi, t):
+    """The block position of packed position t."""
+    return ((lo[t >> 3] & 0x7F | (hi[t >> 3] & 0x7F) << 7) << 3) + (t & 7)
 
 
 def _block_cands(p, k):
@@ -494,24 +543,24 @@ class _Leaves:
 
         The block's leaves choose the candidates below m - k as `prefix`
         does; position p chooses the last k as _slices(k) says, and
-        `covers` is the mask of the positions to offer.  Of the leaves
-        evaluate keeps, the lowest above the proved bound and then the
-        best class go to _offer, as the module docstring says.
+        `covers` is the mask of the positions to offer.  evaluate runs on
+        the positions packed by _pack; of the leaves it keeps, the lowest
+        above the proved bound and then the best class go to _offer, as
+        the module docstring says.
         """
-        inc, fewer = _slices(k)
+        covers, inc, lo, hi, pops = _pack(covers, k)
         base = len(self.nbrs) - k
         pres = [covers if prefix >> i & 1 else 0 for i in range(base)]
-        pres += [covers & s for s in inc]
-        live, wider = self.evaluate(pres, covers)
+        live, wider = self.evaluate(pres + inc, covers)
         if not live:
             return
 
-        def offer(positions, diam):
-            while positions:
-                b = positions & -positions
-                positions ^= b
-                self._offer(prefix | _block_cands(b.bit_length() - 1, k)
-                            << base, diam)
+        def offer(packed, diam):
+            while packed:
+                b = packed & -packed
+                packed ^= b
+                p = _position(lo, hi, b.bit_length() - 1)
+                self._offer(prefix | _block_cands(p, k) << base, diam)
         if over := wider[min(self.best_bound, len(wider) - 1)]:
             b = over & -over
             offer(b, sum(1 for w in wider if w & b))
@@ -519,8 +568,9 @@ class _Leaves:
         top, diam = live, 0
         while wider[diam]:
             top, diam = wider[diam], diam + 1
-        c = k
-        while not (best := top ^ (top & fewer[c])):
+        at_least, c = _packing(k)[-1], k
+        while not (best := top & int.from_bytes(pops.translate(at_least[c]),
+                                                "little")):
             c -= 1
         if diam > self.mu or diam == self.mu and (
                 prefix.bit_count() + k - c <= self.prekey[0]):
@@ -595,7 +645,7 @@ def _blocks(cands, levels, k):
         suffix_cover[i] = suffix_cover[i + 1] | cands[i]
     full = suffix_cover[0]
     # hits[v]: the positions whose block candidates hold vertex v
-    inc, block_cands = _slices(k)[0], cands[base:]
+    inc, block_cands = _slices(k), cands[base:]
     hits = [reduce(or_, (s for s, c in zip(inc, block_cands) if c >> v & 1), 0)
             for v in range(full.bit_length())]
     every = (1 << (1 << k)) - 1
@@ -643,7 +693,7 @@ class _Orbits:
 
     def __init__(self, d, n, cands, levels, k):
         m = len(cands)
-        self.base, self.inc = m - k, _slices(k)[0]
+        self.base, self.inc = m - k, _slices(k)
         index = {c: i for i, c in enumerate(cands)}
         self.swaps = []
         for a, b in chain(combinations(range(d), 2),

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from srdual import cli
+from srdual import SearchResult, cli
 from srdual.cli import build_parser, main
 
 
@@ -177,6 +177,29 @@ def test_search_mu_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["mu"] == 3 and doc["exhaustive"] is True
     assert doc["resumed_leaves"] == 0
+
+
+def test_search_mu_reports_its_leaf_rate(monkeypatch, capsys):
+    # the leaves this run visited, less those a checkpoint marked done,
+    # per second of the run, and 0 for a run that took no measured time;
+    # the envelope gains leaves_per_s and keeps every other field
+    assert main(["search-mu", "--d", "2", "--n", "6", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"d", "n", "mu", "exhaustive", "nodes_explored",
+                        "resumed_leaves", "elapsed", "leaves_per_s",
+                        "witness"}
+    assert doc["leaves_per_s"] == 14513 / doc["elapsed"]
+    for elapsed, rate in ((0.5, 800), (0.0, 0)):
+        res = SearchResult(d=2, n=5, mu=3, witness=None, exhaustive=True,
+                           nodes_explored=427, elapsed=elapsed,
+                           resumed_leaves=27)
+        monkeypatch.setattr(cli, "enumerate_mu", lambda *a, **kw: res)
+        assert main(["search-mu", "--d", "2", "--n", "5", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["leaves_per_s"] == rate
+        assert main(["search-mu", "--d", "2", "--n", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[4:] == ["elapsed: %.1f s" % elapsed,
+                             "leaf rate: %d leaves/s" % rate]
 
 
 def test_bounds_output(capsys):

@@ -630,7 +630,9 @@ def test_best_class_leaves_a_leaf_by_leaf_incumbent(monkeypatch, d, n,
                                                      budget):
     # the reference offered every live leaf of each block, in position
     # order, as a leaf-by-leaf run offers them, ends every block with the
-    # search's incumbent, its pre-key and its canonical key
+    # search's incumbent, its pre-key and its canonical key.  evaluate
+    # runs on packed positions, read back through the kept bytes of the
+    # block's covers
     ref, kept, blocks = _ReferenceLeaves(d, n), [], [0]
     evaluate, block = search._Leaves.evaluate, search._Leaves.block
 
@@ -643,7 +645,7 @@ def test_best_class_leaves_a_leaf_by_leaf_incumbent(monkeypatch, d, n,
         block(leaves, prefix, covers, k)
         (live, wider), = kept
         for (_, diam), chosen in zip(_verdicts(live, wider), _block_leaves(
-                len(ref.cands), prefix, live, k)):
+                len(ref.cands), prefix, _unpack(covers, k, live), k)):
             ref.offer(chosen, diam)
         assert (ref.mu, ref.witness and ref.witness.facets, ref.prekey,
                 ref.key) == (leaves.mu, leaves.witness
@@ -654,6 +656,74 @@ def test_best_class_leaves_a_leaf_by_leaf_incumbent(monkeypatch, d, n,
     monkeypatch.setattr(search._Leaves, "block", block_and_compare)
     res = enumerate_mu(d, n, SearchBudget(max_nodes=budget))
     assert blocks[0] and res.mu == ref.mu >= 1
+
+
+def _unpack(covers, k, packed):
+    """The block positions of the packed positions of `packed`: packed
+    position t is bit t & 7 of the (t >> 3)-th byte of `covers` that holds
+    a position."""
+    kept = [i for i in range((1 << k) + 7 >> 3) if covers >> 8 * i & 0xFF]
+    return sum(1 << 8 * kept[t >> 3] + (t & 7) for t in _positions(packed))
+
+
+def _packing_cases():
+    """(prefix, covers, k, m) blocks: for every k, all positions, the lone
+    first and last ones, random ones and clusters between runs of empty
+    bytes; then the orbit leaders of the blocks of (2,6), (3,6) and (2,7)
+    that keep any."""
+    rng = random.Random(33)
+    for k in range(17):
+        width = 1 << k
+        clustered = 0
+        for _ in range(4):  # runs of empty bytes between the clusters
+            at = rng.randrange(width)
+            clustered |= rng.getrandbits(24) << at & (1 << width) - 1
+        for covers in ((1 << width) - 1, 1, 1 << width - 1,
+                       rng.getrandbits(width), clustered):
+            if covers:
+                yield 5, covers, k, k + 3
+    for d, n in ((2, 6), (3, 6), (2, 7)):
+        cands = search._Leaves(d, n).cands
+        levels, k = search._task_levels(d, n), search._block_levels(d, n)
+        orbits = search._Orbits(d, n, cands, levels, k)
+        blocks = search._blocks(cands, levels, k)
+        for t in range(1 << levels):
+            for prefix, covers in blocks(t):
+                if covers := orbits.leaders(prefix, covers):
+                    yield prefix, covers, k, len(cands)
+
+
+def test_packing_round_trips_a_block():
+    # the packed rows, and the map from a packed position back to its
+    # block position, each give back the block's leaves in position
+    # order; at_least reads each packed position's set-bit count
+    seen = set()
+    for prefix, covers, k, m in _packing_cases():
+        seen.add(k)
+        packed, inc, lo, hi, pops = search._pack(covers, k)
+        assert len(lo) == len(hi) == len(pops) and len(inc) == k
+        assert packed.bit_count() == covers.bit_count()
+        assert all(row & ~packed == 0 for row in inc)
+        assert _unpack(covers, k, packed) == covers
+        want = list(_block_leaves(m, prefix, covers, k))
+        spots = list(_positions(packed))
+        positions = [search._position(lo, hi, t) for t in spots]
+        assert positions == list(_positions(covers)), (k, covers)
+        base = m - k
+        assert [prefix | _position_cands(k)[p] << base
+                for p in positions] == want, (k, covers)
+        held = dict.fromkeys(spots, 0)  # packed position -> candidates
+        for j, row in enumerate(inc):
+            for t in _positions(row):
+                held[t] |= 1 << j
+        assert [prefix | held[t] << base for t in spots] == want, (k, covers)
+        at_least = search._packing(k)[-1]
+        counts = [p.bit_count() for p in positions]
+        for c in range(k + 1):
+            got = int.from_bytes(pops.translate(at_least[c]), "little")
+            assert list(_positions(got & packed)) == [
+                t for t, count in zip(spots, counts) if count >= c], (k, c)
+    assert seen == set(range(17))
 
 
 def _positions_mask(width, holds):
@@ -667,9 +737,7 @@ def test_position_tables_match_their_definition():
         width = 1 << k
         inc = tuple(_positions_mask(width, lambda p: not p >> (k - 1 - j) & 1)
                     for j in range(k))
-        fewer = tuple(_positions_mask(width, lambda p: p.bit_count() < c)
-                      for c in range(k + 2))
-        assert search._slices(k) == (inc, fewer), k
+        assert search._slices(k) == inc, k
         # every position of the narrow blocks, a sample of the wide ones
         for p in (range(width) if k <= 10 else rng.sample(range(width), 500)):
             cands = sum(1 << j for j in range(k) if not p >> (k - 1 - j) & 1)
@@ -764,7 +832,7 @@ def test_block_verdicts_match_the_oracles(d, n, limit):
 
     def check(prefix, covers, k):
         pres = [covers if prefix >> i & 1 else 0 for i in range(m - k)]
-        pres += [covers & s for s in search._slices(k)[0]]
+        pres += [covers & s for s in search._slices(k)]
         verdicts[:] = _verdicts(*leaves.evaluate(pres, covers))
         want = []
         for p, chosen in zip(_positions(covers),
