@@ -166,9 +166,17 @@ def from_masks(masks: Iterable[int], universe_size: Optional[int] = None,
         missing = [v for v in range(universe_size) if not (union >> v) & 1]
         raise IsolatedVertex("universe vertices in no facet: %s" % missing)
     if names is not None:
+        names = tuple(names)
         if len(names) != universe_size:
             raise BadParams("name table size != universe size")
-        names = tuple(names)
+        # the names a facet file can hold, as parse_facet_file reads them
+        for name in names:
+            if not (isinstance(name, str) and name.split() == [name]
+                    and "#" not in name):
+                raise BadParams("vertex names must be non-empty strings "
+                                "without whitespace or '#', not %r" % (name,))
+        if len(set(names)) < len(names):
+            raise BadParams("vertex names must be distinct")
     return SimplicialComplex(universe_size, tuple(antichain(masks)), names)
 
 

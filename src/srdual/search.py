@@ -16,8 +16,10 @@ the mask of their covering positions: the AND of per-vertex cover
 patterns over the vertices the prefix misses.  The evaluator runs on
 the block packed to the bytes of that mask, after the orbit filter
 below, that hold a position to offer: packed position t is bit t & 7 of
-the (t >> 3)-th such byte, so the order is kept, and only an offered
-leaf is mapped back to its position.
+the (t >> 3)-th such byte, so the order is kept.  _pack alone spells the
+encoding, as one row per block candidate; the full block's rows feed the
+generator and the filter, and an offered leaf reads its candidates off
+the packed rows the evaluator ran on.
 
 One evaluator per (d, n) keeps the incumbent and runs every leaf rule
 but the last two on whole blocks, through one bit-sliced BFS that runs
@@ -392,20 +394,6 @@ def _sliced_bfs(nbrs, pres, frontier, lo=0):
 
 
 @cache
-def _slices(k):
-    """inc[j], for a block that varies k candidates: the positions that
-    include the block's candidate j, those with bit k-1-j clear.  Built
-    from the tables of k-1: position p < 2^(k-1) includes candidate 0 and
-    holds the others as position p of those tables does; position
-    p + 2^(k-1) holds the same others and lacks candidate 0.
-    """
-    if not k:
-        return ()
-    half = 1 << (k - 1)
-    return ((1 << half) - 1,) + tuple(s | s << half for s in _slices(k - 1))
-
-
-@cache
 def _packing(k):
     """Tables that pack a block of 2^k positions to the bytes that hold one.
 
@@ -435,9 +423,10 @@ def _packing(k):
 def _pack(covers, k):
     """A block's positions packed to the bytes of `covers` that hold one.
 
-    Returns (covers, inc, lo, hi, pops) in packed positions: inc as
-    _slices(k) says, and the bytes _position and at_least read, one per
-    kept byte.  Packing keeps the positions in order.
+    Returns (covers, inc, pops) in packed positions: inc[j] is the mask
+    of the positions that include the block's candidate j, those whose
+    block position has bit k-1-j clear, and pops the bytes at_least
+    reads, one per kept byte.  Packing keeps the positions in order.
     """
     nonzero, lo, hi, pops, rows, _ = _packing(k)
     size = (1 << k) + 7 >> 3
@@ -448,17 +437,14 @@ def _pack(covers, k):
     covers = int.from_bytes(held.translate(None, b"\0"), "little")
     inc = [covers & int.from_bytes((lo if b < 10 else hi).translate(rows[b]),
                                    "little") for b in range(k - 1, -1, -1)]
-    return covers, inc, lo, hi, pops
+    return covers, inc, pops
 
 
-def _position(lo, hi, t):
-    """The block position of packed position t."""
-    return ((lo[t >> 3] & 0x7F | (hi[t >> 3] & 0x7F) << 7) << 3) + (t & 7)
-
-
-def _block_cands(p, k):
-    """Position p's block candidates, j at bit j when bit k-1-j is clear."""
-    return int(f"{(1 << k) - 1 ^ p:0{k}b}"[::-1], 2)
+@cache
+def _rows(k):
+    """The rows _pack gives the full block of 2^k positions, which packing
+    leaves in place: the generator's and the orbit filter's inc."""
+    return tuple(_pack((1 << (1 << k)) - 1, k)[1])
 
 
 class _Leaves:
@@ -542,13 +528,13 @@ class _Leaves:
         """Offer the covering leaves of one block to the incumbent.
 
         The block's leaves choose the candidates below m - k as `prefix`
-        does; position p chooses the last k as _slices(k) says, and
-        `covers` is the mask of the positions to offer.  evaluate runs on
-        the positions packed by _pack; of the leaves it keeps, the lowest
-        above the proved bound and then the best class go to _offer, as
-        the module docstring says.
+        does; position p chooses the last k as _pack says, and `covers` is
+        the mask of the positions to offer.  evaluate runs on the positions
+        packed by _pack; of the leaves it keeps, the lowest above the
+        proved bound and then the best class go to _offer, as the module
+        docstring says, each read off the packed rows evaluate ran on.
         """
-        covers, inc, lo, hi, pops = _pack(covers, k)
+        covers, inc, pops = _pack(covers, k)
         base = len(self.nbrs) - k
         pres = [covers if prefix >> i & 1 else 0 for i in range(base)]
         live, wider = self.evaluate(pres + inc, covers)
@@ -559,8 +545,8 @@ class _Leaves:
             while packed:
                 b = packed & -packed
                 packed ^= b
-                p = _position(lo, hi, b.bit_length() - 1)
-                self._offer(prefix | _block_cands(p, k) << base, diam)
+                self._offer(prefix | sum(1 << base + j for j, row
+                                         in enumerate(inc) if row & b), diam)
         if over := wider[min(self.best_bound, len(wider) - 1)]:
             b = over & -over
             offer(b, sum(1 for w in wider if w & b))
@@ -645,7 +631,7 @@ def _blocks(cands, levels, k):
         suffix_cover[i] = suffix_cover[i + 1] | cands[i]
     full = suffix_cover[0]
     # hits[v]: the positions whose block candidates hold vertex v
-    inc, block_cands = _slices(k), cands[base:]
+    inc, block_cands = _rows(k), cands[base:]
     hits = [reduce(or_, (s for s, c in zip(inc, block_cands) if c >> v & 1), 0)
             for v in range(full.bit_length())]
     every = (1 << (1 << k)) - 1
@@ -693,7 +679,7 @@ class _Orbits:
 
     def __init__(self, d, n, cands, levels, k):
         m = len(cands)
-        self.base, self.inc = m - k, _slices(k)
+        self.base, self.inc = m - k, _rows(k)
         index = {c: i for i, c in enumerate(cands)}
         self.swaps = []
         for a, b in chain(combinations(range(d), 2),

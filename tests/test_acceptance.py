@@ -7,7 +7,12 @@ its measured numbers; any assertion failure marks the criterion failed.
 import json
 import random
 import time
+from collections import Counter
+from functools import reduce
 from importlib import resources
+from itertools import combinations, permutations
+from math import factorial, prod
+from operator import or_
 
 from srdual import (
     GlueSpec,
@@ -18,14 +23,16 @@ from srdual import (
     build_dual_graph,
     diameter,
     enumerate_mu,
+    from_masks,
     glue,
     is_buchsbaum,
     is_s2,
     linear_syzygy_check,
     verify_bounds,
 )
+from srdual.complexes import image, mask_of
 from srdual.families import FamilyId
-from srdual.search import leaf_count
+from srdual.search import _task_levels, leaf_count
 from srdual.serre import connected_components
 
 from conftest import BOUND_CHECKS, corpus, random_pure_complex, track
@@ -192,3 +199,91 @@ def test_criterion_10_mu_5_7_golden_record():
     print("PASS criterion 10: mu(5,7) = %d exhaustively (%d leaves, %.1f s "
           "< 600 s), matching the shipped golden record and the proved "
           "bound" % (res.mu, res.nodes_explored, elapsed))
+
+
+def _cycle_types(k, most=None):
+    """The partitions of k, parts in descending order."""
+    if not k:
+        yield ()
+    for first in range(min(k, most or k), 0, -1):
+        for rest in _cycle_types(k - first, first):
+            yield (first,) + rest
+
+
+def _class_size(cycles):
+    """The permutations of sum(cycles) points with these cycle lengths."""
+    return (factorial(sum(cycles)) // prod(cycles)
+            // prod(map(factorial, Counter(cycles).values())))
+
+
+def _burnside_orbits(d, n):
+    """The orbits of the mu(d,n) leaves under G = S_d x S_(n-d), which
+    fixes {0..d-1}: per cycle type of G, the class size times the leaves
+    one of its elements fixes, summed and divided by |G|.  An element
+    fixes a leaf that is a union of its cycles on the candidates; those
+    that hold {0..d-1} and cover every vertex are counted by
+    inclusion-exclusion over the vertices from d on that they miss."""
+    cands = [mask_of(c) for c in combinations(range(n), d)]
+    missed = [mask_of(s) for r in range(n - d + 1)
+              for s in combinations(range(d, n), r)]
+    total = 0
+    for low in _cycle_types(d):
+        for high in _cycle_types(n - d):
+            perm = []  # its cycles on consecutive points
+            for c in low + high:
+                start = len(perm)
+                perm += [start + (i + 1) % c for i in range(c)]
+            seen, unions = {cands[0]}, []  # {0..d-1} is its own cycle
+            for c in cands:
+                union = 0
+                while c not in seen:
+                    seen.add(c)
+                    union |= c
+                    c = image(c, perm)
+                if union:
+                    unions.append(union)
+            fixed = sum((-1) ** s.bit_count()
+                        * 2 ** sum(not u & s for u in unions) for s in missed)
+            total += _class_size(low) * _class_size(high) * fixed
+    return total // (factorial(d) * factorial(n - d))
+
+
+def _orbits_by_relabeling(d, n):
+    """The same orbits, counted by taking each leaf's least image."""
+    cands = [mask_of(c) for c in combinations(range(n), d)]
+    group = [low + high for low in permutations(range(d))
+             for high in permutations(range(d, n))]
+    least = set()
+    for rest in range(1 << len(cands) - 1):
+        leaf = [cands[0]] + [c for i, c in enumerate(cands[1:])
+                             if rest >> i & 1]
+        if reduce(or_, leaf) == (1 << n) - 1:
+            least.add(min(tuple(sorted(image(f, g) for f in leaf))
+                          for g in group))
+    return len(least)
+
+
+def test_frontier_golden_records():
+    # the committed records of the exhaustive frontier runs hold what
+    # they claim, checked without re-running them
+    assert [_burnside_orbits(d, n) for d, n in ((2, 5), (3, 5), (2, 4))] \
+        == [_orbits_by_relabeling(d, n) for d, n in ((2, 5), (3, 5), (2, 4))]
+    for d, n in ((3, 7), (4, 7), (2, 9), (6, 8)):
+        golden = _golden("mu_%d_%d_golden.json" % (d, n))
+        assert golden["cell"] == {"d": d, "n": n}
+        assert golden["exhaustive"] and golden["resumed_leaves"] == 0
+        assert golden["mu"] == bounds(d, n).best
+        tasks = golden["task_leaves"]
+        assert len(tasks) == 1 << _task_levels(d, n)
+        assert golden["nodes_explored"] == sum(tasks) == leaf_count(d, n)
+        cx = from_masks(golden["witness_facet_masks"], n)
+        assert cx.d == d
+        assert [cx.facet_name(f) for f in cx.facets] == golden["witness_facets"]
+        assert is_s2(cx).holds
+        assert diameter(build_dual_graph(cx)) == golden["mu"]
+        assert golden["burnside_orbits"] == _burnside_orbits(d, n)
+        assert golden["run_log"]
+    print("PASS golden records: mu(3,7), mu(4,7), mu(2,9) and mu(6,8) each "
+          "hold an (S2) witness of diameter mu = bounds(d,n).best, leaf "
+          "counts that sum to leaf_count(d,n) and their Burnside orbit "
+          "counts")

@@ -1,4 +1,5 @@
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -23,6 +24,19 @@ def test_no_assert_statements_in_the_library():
         found += ["%s:%d" % (path.relative_to(root), node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_the_library_parses_at_the_declared_python_floor():
+    # syntax only: a call to an API added after the floor still passes
+    root = Path(srdual.__file__).parent
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    major, minor = map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                                      pyproject).groups())
+    paths = sorted(root.rglob("*.py"))
+    assert len(paths) >= 10
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path),
+                  feature_version=(major, minor))
 
 
 def _raised_names(tree):

@@ -6,11 +6,13 @@ from srdual import (
     build,
     build_dual_graph,
     export_graph,
+    from_facets,
+    from_masks,
     mask_of,
     parse_facet_file,
     serialize_facet_file,
 )
-from srdual.errors import ParseError
+from srdual.errors import BadParams, ParseError
 from srdual.families import _FIGURES, FamilyId
 
 from conftest import corpus
@@ -74,6 +76,20 @@ def test_round_trip_letters():
                           letters=True)
     again = parse_facet_file(serialize_facet_file(a2))
     assert again == a2 and again.names == a2.names
+
+
+@pytest.mark.parametrize("names", [
+    ["a", "a", "b"],  # the written header repeats a name
+    ["a b", "c", "#d"],  # the written lines split and comment differently
+    [1, 2, 3],  # the writer joins strings only
+    ["", "b", "c"],
+    ["a\tb", "c", "d"]])
+def test_names_a_facet_file_cannot_hold_are_refused(names):
+    # a name the writer could not round-trip is refused where it enters
+    with pytest.raises(BadParams):
+        from_masks([0b011, 0b110], 3, names)
+    with pytest.raises(BadParams):
+        from_facets([[0, 1], [1, 2]], names=names)
 
 
 def test_export_dot_fig_a1():

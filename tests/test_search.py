@@ -694,24 +694,21 @@ def _packing_cases():
 
 
 def test_packing_round_trips_a_block():
-    # the packed rows, and the map from a packed position back to its
-    # block position, each give back the block's leaves in position
-    # order; at_least reads each packed position's set-bit count
+    # the packed rows give back the block's leaves in position order, as
+    # an offered leaf reads them; at_least reads each packed position's
+    # set-bit count
     seen = set()
     for prefix, covers, k, m in _packing_cases():
         seen.add(k)
-        packed, inc, lo, hi, pops = search._pack(covers, k)
-        assert len(lo) == len(hi) == len(pops) and len(inc) == k
+        packed, inc, pops = search._pack(covers, k)
+        assert len(pops) == packed.bit_length() + 7 >> 3 and len(inc) == k
         assert packed.bit_count() == covers.bit_count()
         assert all(row & ~packed == 0 for row in inc)
         assert _unpack(covers, k, packed) == covers
         want = list(_block_leaves(m, prefix, covers, k))
         spots = list(_positions(packed))
-        positions = [search._position(lo, hi, t) for t in spots]
-        assert positions == list(_positions(covers)), (k, covers)
+        positions = list(_positions(covers))
         base = m - k
-        assert [prefix | _position_cands(k)[p] << base
-                for p in positions] == want, (k, covers)
         held = dict.fromkeys(spots, 0)  # packed position -> candidates
         for j, row in enumerate(inc):
             for t in _positions(row):
@@ -731,17 +728,20 @@ def _positions_mask(width, holds):
     return int("".join("01"[holds(p)] for p in reversed(range(width))), 2)
 
 
+@cache
+def _full_rows(k):
+    """For each block candidate j < k, the mask of the positions p < 2^k
+    that include it, read off _position_cands."""
+    table = _position_cands(k)
+    return tuple(_positions_mask(1 << k, lambda p: table[p] >> j & 1)
+                 for j in range(k))
+
+
 def test_position_tables_match_their_definition():
-    rng = random.Random(24)
-    for k in range(search._BLOCK_LEVELS + 1):
-        width = 1 << k
-        inc = tuple(_positions_mask(width, lambda p: not p >> (k - 1 - j) & 1)
-                    for j in range(k))
-        assert search._slices(k) == inc, k
-        # every position of the narrow blocks, a sample of the wide ones
-        for p in (range(width) if k <= 10 else rng.sample(range(width), 500)):
-            cands = sum(1 << j for j in range(k) if not p >> (k - 1 - j) & 1)
-            assert search._block_cands(p, k) == cands, (k, p)
+    # the cached full-block rows that the generator and the orbit filter
+    # read, at every width
+    for k in range(17):
+        assert search._rows(k) == _full_rows(k), k
 
 
 def _old_cut(covers, left):
@@ -832,7 +832,7 @@ def test_block_verdicts_match_the_oracles(d, n, limit):
 
     def check(prefix, covers, k):
         pres = [covers if prefix >> i & 1 else 0 for i in range(m - k)]
-        pres += [covers & s for s in search._slices(k)]
+        pres += [covers & s for s in _full_rows(k)]
         verdicts[:] = _verdicts(*leaves.evaluate(pres, covers))
         want = []
         for p, chosen in zip(_positions(covers),
