@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from typing import Iterable, Optional, Sequence
 
@@ -50,8 +51,11 @@ def star_masks(facets: Sequence[VertexSet], n: int) -> list[int]:
     """stars[v] = mask of the positions in `facets` whose facet holds v."""
     stars = [0] * n
     for i, f in enumerate(facets):
-        for v in vertices_of(f):
-            stars[v] |= 1 << i
+        bit = 1 << i
+        while f:
+            low = f & -f
+            stars[low.bit_length() - 1] |= bit
+            f ^= low
     return stars
 
 
@@ -109,9 +113,14 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         return self.d is not None
 
-    @property
+    @cached_property
     def d(self) -> Optional[int]:
-        """Facet cardinality when pure (ring dimension), else None."""
+        """Facet cardinality when pure (ring dimension), else None.
+
+        Derived once per instance: the value lands in the instance
+        ``__dict__``, which the frozen dataclass's ``==``, hash and repr
+        never read.
+        """
         sizes = {f.bit_count() for f in self.facets}
         if len(sizes) == 1:
             return sizes.pop()
@@ -128,15 +137,16 @@ class SimplicialComplex:
         return facet_label(mask, self.vertex_names)
 
     def faces(self):
-        """All nonempty faces, smallest first: each facet's nonempty
-        submasks, enumerated by s -> (s - 1) & f."""
+        """All nonempty faces in (size, mask) order: each facet's nonempty
+        submasks, enumerated by s -> (s - 1) & f, sorted by mask and then,
+        stably, by size."""
         seen: set[int] = set()
         for f in self.facets:
             s = f
             while s:
                 seen.add(s)
                 s = (s - 1) & f
-        return sorted(seen, key=lambda m: (m.bit_count(), m))
+        return sorted(sorted(seen), key=int.bit_count)
 
     def __repr__(self):
         body = ",".join(self.facet_name(f) for f in self.facets)

@@ -4,6 +4,11 @@ Facet files are line oriented: an optional ``vertices:`` header naming
 the universe, then one facet per line as whitespace-separated vertex
 names; ``#`` starts a comment.  In letters mode every character of a
 token is its own vertex, matching the ABC labels of the figures.
+
+A line that starts with ``vertices:`` (any case) is a header, with one
+exception in the default mode: after an explicit header, a line whose
+first token is a declared vertex name is a facet line.  So a vertex may
+be named ``vertices:``, and the writer's files read back.
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ def parse_facet_file(text: str, letters: bool = False) -> SimplicialComplex:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.lower().startswith("vertices:"):
+        if (line.lower().startswith("vertices:")
+                and not (explicit_header and not letters
+                         and line.split(None, 1)[0] in index)):
             if facet_masks:
                 raise ParseError("vertices header after facets", lineno)
             if explicit_header:

@@ -150,8 +150,18 @@ def bounds(d: int, n: int) -> UpperBounds:
     return UpperBounds(d, n, vals, best)
 
 
+@cache
+def _best_bound(d: int, n: int) -> int:
+    """bounds(d, n).best, derived once per cell."""
+    return bounds(d, n).best
+
+
 def verify_bounds(cx: SimplicialComplex, diam: Optional[int] = None) -> bool:
-    """Blanket invariant: no complex may beat the proved upper bounds."""
+    """Blanket invariant: no complex may beat the proved upper bounds.
+
+    The best bound of each (d, n) cell is derived once and then read
+    from a cache; `bounds` itself still builds a fresh `UpperBounds`.
+    """
     if not (diam is None or diam is UNBOUNDED or _is_int(diam)):
         raise BadParams("diameter must be an integer, not %r" % (diam,))
     d = cx.d
@@ -161,7 +171,7 @@ def verify_bounds(cx: SimplicialComplex, diam: Optional[int] = None) -> bool:
         diam = diameter(build_dual_graph(cx))
     if diam is UNBOUNDED:
         return True
-    return diam <= bounds(d, cx.n).best
+    return diam <= _best_bound(d, cx.n)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,13 @@
 
 Two independent (S2) tests are provided: local connectedness of the
 facet-ridge graph, and the linear-first-syzygy path test on the Alexander
-dual ideal.  Each takes one BFS per distinct separator (resp. box) of a
-pair, not one per pair, and they share no code past `bfs`.  Their
-agreement on pure complexes is itself a tested invariant, not an
-assumption.
+dual ideal.  Each makes one pass over its pairs, which sets the
+adjacency and collects the distinct separators (resp. boxes), then takes
+one BFS per distinct separator (resp. box), not one per pair.  A box's
+generators come from the `miss` stars: the AND, over the variables
+outside the box, of the generators without that variable.  The two
+share no code past `bfs` and `star_masks`.  Their agreement on pure
+complexes is itself a tested invariant, not an assumption.
 
 Homology has one sparse, fraction-free integer elimination for Q and
 every GF(p).  Betti numbers come from a face list with the empty face
@@ -30,7 +33,7 @@ from .complexes import (
     star_masks,
     vertices_of,
 )
-from .dual_graph import bfs, build_dual_graph
+from .dual_graph import bfs
 from .errors import (
     BadParams,
     DimensionTooSmall,
@@ -59,30 +62,38 @@ def is_locally_connected(cx: SimplicialComplex) -> S2Verdict:
     property holds iff the star (the facets containing s, the AND of the
     vertex star masks) of every distinct separator s = u∩v of fewer than
     d-1 vertices is connected; pairs sharing d-1 vertices are edges.  One
-    BFS per distinct separator tests that.  Only when a star is split are
-    the pairs with a split separator scanned, i before j, to name the
-    first failing one.
+    pass over the facet pairs sorts each intersection: d-1 vertices set
+    the pair's ridge adjacency, the rule of `build_dual_graph`, and any
+    other goes into the separator set.  One BFS per distinct separator
+    then tests its star.  Only when a star is split are the pairs with a
+    split separator scanned, i before j, to name the first failing one.
     """
     d = cx.d
     if d is None:
         raise NotPure("local connectedness is defined for pure complexes")
     if d < 2:
         raise DimensionTooSmall("need facet size >= 2")
-    g = build_dual_graph(cx)
-    facets = g.node_facets
+    facets = cx.facets
     m = len(facets)
-    star = star_masks(facets, cx.n)
+    ridge = d - 1
+    adj = [0] * m
     seps: set[int] = set()
     for i, fi in enumerate(facets):
-        seps.update([fi & fj for fj in facets[i + 1:]])
+        bit = 1 << i
+        for j in range(i + 1, m):
+            sep = fi & facets[j]
+            if sep.bit_count() == ridge:
+                adj[i] |= 1 << j
+                adj[j] |= bit
+            else:
+                seps.add(sep)
+    star = star_masks(facets, cx.n)
     split = {}
     for sep in seps:
-        if sep.bit_count() >= d - 1:
-            continue
         allowed = (1 << m) - 1
         for v in vertices_of(sep):
             allowed &= star[v]
-        if bfs(g.adjacency, allowed & -allowed, allowed)[0] != allowed:
+        if bfs(adj, allowed & -allowed, allowed)[0] != allowed:
             split[sep] = allowed
     if split:
         for i, fi in enumerate(facets):
@@ -91,20 +102,20 @@ def is_locally_connected(cx: SimplicialComplex) -> S2Verdict:
                 sep = fi & facets[j]
                 if sep in split:
                     if sep not in reached:
-                        reached[sep] = bfs(g.adjacency, 1 << i, split[sep])[0]
+                        reached[sep] = bfs(adj, 1 << i, split[sep])[0]
                     if not reached[sep] >> j & 1:
                         return S2Verdict(False, (fi, facets[j], sep))
     return S2Verdict(True)
 
 
 def is_s2(cx: SimplicialComplex) -> S2Verdict:
-    """(S2) = pure + locally connected facet-ridge graph."""
-    sizes = {f.bit_count() for f in cx.facets}
-    if not sizes:
+    """(S2) = pure + locally connected facet-ridge graph.  The facet
+    sizes are read only for a complex that is not pure."""
+    if not cx.facets:
         raise EmptyInput("(S2) of a complex with no facets")
-    if max(sizes) < 2:
-        raise DimensionTooSmall("need facet size >= 2")
-    if len(sizes) != 1:
+    if cx.d is None:
+        if max(f.bit_count() for f in cx.facets) < 2:
+            raise DimensionTooSmall("need facet size >= 2")
         return S2Verdict(False)
     return is_locally_connected(cx)
 
@@ -117,10 +128,13 @@ def linear_syzygy_check(ideal: MonomialIdeal) -> bool:
     to degree t+1.  Under complementation this mirrors local
     connectedness of the facet-ridge graph.  A walk for (u, v) inside a
     box B also stays inside any box B' ⊇ B, so this holds iff the
-    generators inside each distinct box gi|gj are connected; they are
-    those with no variable outside it, read off the variable star masks.
-    One BFS per box tests that, skipping boxes of t+1 variables, whose
-    pair is adjacent.
+    generators inside each distinct box gi|gj are connected.  One pass
+    over the generator pairs sorts each box: t+1 variables set the pair's
+    adjacency, and any other box goes into the box set.  The generators
+    inside a box are those without any variable outside it, the AND of
+    ``miss[v]`` over the variables v outside it, where ``miss[v]`` is the
+    star of v among the complements ``universe ^ g``.  One BFS per box
+    tests that.
     """
     gens = ideal.generators
     if len({g.bit_count() for g in gens}) != 1:
@@ -130,24 +144,23 @@ def linear_syzygy_check(ideal: MonomialIdeal) -> bool:
     adj = [0] * m
     boxes: set[int] = set()
     for i, gi in enumerate(gens):
-        row = [gi | gj for gj in gens[i + 1:]]
-        boxes.update(row)
-        for j, box in enumerate(row, i + 1):
+        bit = 1 << i
+        for j in range(i + 1, m):
+            box = gi | gens[j]
             if box.bit_count() == t + 1:
                 adj[i] |= 1 << j
-                adj[j] |= 1 << i
+                adj[j] |= bit
+            else:
+                boxes.add(box)
     everything = (1 << m) - 1
     universe = 0
     for g in gens:
         universe |= g
-    gstar = star_masks(gens, universe.bit_length())
+    miss = star_masks([universe ^ g for g in gens], universe.bit_length())
     for box in boxes:
-        if box.bit_count() == t + 1:
-            continue
-        outside = 0
+        allowed = everything
         for v in vertices_of(universe & ~box):
-            outside |= gstar[v]
-        allowed = everything & ~outside
+            allowed &= miss[v]
         if bfs(adj, allowed & -allowed, allowed)[0] != allowed:
             return False
     return True
@@ -234,19 +247,14 @@ def _betti(faces, field):
     size 1 is the signed incidence matrix of the 1-skeleton, whose rank
     over every field is the number of vertices less the number of
     components: the edges that join two components of a union-find
-    over the vertices.  `_rank` eliminates only the rows of faces of 3
+    over the vertices, whose paths are halved inline as each edge is
+    numbered.  `_rank` eliminates only the rows of faces of 3
     or more vertices.
     """
     index = {0: 0}
     counts = [1]
     rows: list[list[dict[int, int]]] = [[]]
     root: list[int] = []  # union-find over the vertices, by number
-
-    def find(x):
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        return x
-
     joins = 0  # rank of the boundary from size 2 to size 1
     for face in faces:
         k = face.bit_count()
@@ -259,7 +267,12 @@ def _betti(faces, field):
             root.append(len(root))
         elif k == 2:
             low = face & -face
-            a, b = find(index[low]), find(index[face ^ low])
+            a = index[low]
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            b = index[face ^ low]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
             if a != b:
                 root[a] = b
                 joins += 1
@@ -319,13 +332,15 @@ def is_buchsbaum(cx: SimplicialComplex, field: int = 0) -> bool:
 def connected_components(cx: SimplicialComplex) -> int:
     """Components of the facets-sharing-a-vertex graph, by `bfs`;
     independent of homology.  A facet's neighbours are the OR of its
-    vertices' star masks."""
+    vertices' star masks, read bit by bit."""
     star = star_masks(cx.facets, cx.n)
     adj = []
     for f in cx.facets:
         nbrs = 0
-        for v in vertices_of(f):
-            nbrs |= star[v]
+        while f:
+            low = f & -f
+            nbrs |= star[low.bit_length() - 1]
+            f ^= low
         adj.append(nbrs)
     left = (1 << len(adj)) - 1
     count = 0

@@ -1,5 +1,7 @@
+import pickle
 import random
-from itertools import count
+from dataclasses import replace
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +19,7 @@ from srdual import (
     mask_of,
     parse_facet_file,
     serialize_facet_file,
+    vertices_of,
 )
 from srdual.complexes import MAX_UNIVERSE, _grow, antichain
 from srdual.errors import (
@@ -28,7 +31,7 @@ from srdual.errors import (
 )
 from srdual.families import FamilyId, from_letters
 
-from conftest import complex_of_ideal, link, relabel, track
+from conftest import complex_of_ideal, corpus, link, relabel, track
 
 
 def test_from_facets_path():
@@ -258,6 +261,40 @@ def test_antichain_matches_reference_loop():
 def test_empty_face_complex_representation():
     void = SimplicialComplex(0, (0,))
     assert void.is_pure and void.d == 0
+
+
+def test_reading_d_leaves_equality_hash_pickle_and_replace_alone():
+    # d is derived once into the instance dict; the dataclass machinery
+    # reads only the fields
+    for cx in (from_facets([[0, 1, 2], [1, 2, 3]], names="abcd"),
+               from_facets([[0, 1, 2], [2, 3]])):
+        fresh = SimplicialComplex(cx.n, cx.facets, cx.names)
+        before = (hash(cx), repr(cx), pickle.dumps(cx))
+        d = cx.d
+        assert cx.d is d and cx.is_pure == (d is not None)
+        assert cx == fresh and fresh == cx and hash(cx) == hash(fresh)
+        assert (hash(cx), repr(cx)) == before[:2]
+        for blob in (before[2], pickle.dumps(cx)):
+            back = pickle.loads(blob)
+            assert back == cx and back.names == cx.names and back.d == d
+        grown = replace(cx, n=6, facets=cx.facets + (0b110000,), names=None)
+        assert grown.d is None and grown != cx
+        same = replace(cx)
+        assert same == cx and same.d == d
+        assert len({cx, fresh, same}) == 1
+
+
+def test_faces_in_size_then_mask_order():
+    complexes = [cx for _, cx, _ in corpus()]
+    complexes += [from_facets([[0, 1, 2], [2, 3], [4]]),
+                  SimplicialComplex(0, (0,))]
+    for cx in complexes:
+        seen = set()
+        for f in cx.facets:
+            vs = vertices_of(f)
+            for k in range(1, len(vs) + 1):
+                seen.update(mask_of(c) for c in combinations(vs, k))
+        assert cx.faces() == sorted(seen, key=lambda m: (m.bit_count(), m))
 
 
 def test_ideal_antichain_degrees():

@@ -1,5 +1,7 @@
 import ast
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -163,3 +165,12 @@ _SELF_GLUE = {1: 1, 2: 2, 3: 3}
 def test_mistyped_parameters_raise_bad_params(call):
     with pytest.raises(BadParams):
         call()
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark imports public names of srdual; its self-test catches
+    # a renamed one before a benchmark run does
+    root = Path(__file__).parents[1]
+    proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

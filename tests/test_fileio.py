@@ -61,6 +61,30 @@ def test_parse_errors_carry_line_numbers():
         assert ei.value.line == 3
 
 
+def test_a_vertex_named_like_the_header_round_trips():
+    # after an explicit header, a line whose first token is a declared
+    # name is a facet line, so the writer's own files read back
+    cx = parse_facet_file("vertices: vertices: a\na vertices:\n")
+    assert cx.names == ("vertices:", "a") and cx.facets == (0b11,)
+    text = serialize_facet_file(cx)
+    assert text == "vertices: vertices: a\nvertices: a\n"
+    again = parse_facet_file(text)
+    assert again == cx and again.names == cx.names
+    cx = from_masks([0b011, 0b110], 3, names=["Vertices:", "b", "c"])
+    again = parse_facet_file(serialize_facet_file(cx))
+    assert again == cx and again.names == cx.names
+    # a header token that names no vertex still starts a header
+    with pytest.raises(ParseError, match="duplicate vertices header"):
+        parse_facet_file("vertices: A B\nvertices: C D\nA B")
+    for letters in (False, True):
+        with pytest.raises(ParseError, match="vertices header after facets"):
+            parse_facet_file("vertices: A B\nA B\nvertices: A B\n",
+                             letters=letters)
+    # letters mode keeps every vertices: line a header
+    with pytest.raises(ParseError, match="duplicate vertices header"):
+        parse_facet_file("vertices: vertices: a\nvertices: a\n", letters=True)
+
+
 def test_round_trip_over_corpus():
     for fam, cx, _ in corpus():
         again = parse_facet_file(serialize_facet_file(cx))

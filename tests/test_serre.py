@@ -557,3 +557,34 @@ def test_s2_matches_reference_pair_scan():
             assert verdict.holds == (want is None), cx
             assert verdict.witness == want, cx
     assert failing >= 100  # the failure path and its witness are exercised
+
+
+def test_one_pass_oracles_on_larger_separators():
+    # facets of 5 or 6 vertices on at most 10: separators of 3 or more
+    # vertices, and boxes with up to d - 2 = 4 variables outside
+    rng = random.Random(71)
+    verdicts = set()
+    widest_sep = most_outside = 0
+    for _ in range(150):
+        cx = random_pure_complex(rng, max_n=10, dims=(5, 6))
+        want = _reference_witness(cx)
+        for verdict in (is_s2(cx), is_locally_connected(cx)):
+            assert verdict.holds == (want is None), cx
+            assert verdict.witness == want, cx
+        ideal = alexander_dual_ideal(cx)
+        syz = _reference_syzygy_check(ideal)
+        assert linear_syzygy_check(ideal) == syz, cx
+        verdicts.add((want is None, syz))
+        for u, v in combinations(cx.facets, 2):
+            if (u & v).bit_count() < cx.d - 1:
+                widest_sep = max(widest_sep, (u & v).bit_count())
+        universe = 0
+        for g in ideal.generators:
+            universe |= g
+        t = ideal.generators[0].bit_count()
+        for g, h in combinations(ideal.generators, 2):
+            if (g | h).bit_count() > t + 1:
+                most_outside = max(most_outside,
+                                   (universe & ~(g | h)).bit_count())
+    assert verdicts == {(True, True), (False, False)}
+    assert widest_sep >= 3 and most_outside == 4
