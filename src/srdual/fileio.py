@@ -59,8 +59,6 @@ def parse_facet_file(text: str, letters: bool = False) -> SimplicialComplex:
         tokens = line.split()
         if letters:
             tokens = [c for tok in tokens for c in tok]
-        if not tokens:
-            raise ParseError("empty facet", lineno)
         facet_masks.append(mask_of(vertex(t, lineno) for t in tokens))
     if not facet_masks:
         raise ParseError("no facets in input", body_start or len(lines))

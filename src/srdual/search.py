@@ -21,30 +21,38 @@ encoding, as one row per block candidate; the full block's rows feed the
 generator and the filter, and an offered leaf reads its candidates off
 the packed rows the evaluator ran on.
 
+The search is rooted: it scores a leaf by ecc0, the eccentricity of
+candidate 0 in its dual graph.  No ecc0 exceeds the diameter, and a
+complex of diameter D has a copy whose {0..d-1} is one of two facets at
+distance D, a leaf of ecc0 D; so the largest ecc0 over the connected
+(S2) leaves is mu(d,n).
+
 One evaluator per (d, n) keeps the incumbent and runs every leaf rule
 but the last two on whole blocks, through one bit-sliced BFS that runs
 in all leaves of a block at once, each leaf from its own start node.
 It runs from candidate 0, which every leaf holds, for connectivity and
-the eccentricity probe (diameter <= 2 * eccentricity).  It runs once per
-face star for (S2): for each face s with 1 <= |s| <= d-2, the chosen
-facets holding s must be connected (those holding a (d-1)-face are
-pairwise adjacent), so each leaf searches from its lowest chosen facet
-of the star, along the dual-graph edges inside the star; the smallest
-stars go first and a block ends once no leaf passes.  It gives the
-exact diameters without a cap: the probe is the sweep from candidate 0,
-and each later candidate sweeps to the candidates after it only, so each
-pair of a leaf is swept once.  Then at most two kinds of leaf go, in
-position order and with their diameters, through the proved bound and
-the tie-break: the smaller facet count, then vertex invariants read off
-the star masks, then the canonical form.  First the lowest leaf above
-the proved bound, which raises as a leaf-by-leaf run would (no rule
-drops a diameter above mu); then the block's best class, its leaves of
-largest diameter with the fewest facets among those, unless that
-diameter is below mu, or is mu with more facets than the incumbent.
-The incumbent is the earliest minimum of (-diameter, pre-key, canonical
-key), and the pre-key starts with the facet count, so each leaf of the
-class beats every other leaf of the block: after each block the
-incumbent is the one a leaf-by-leaf run would leave.
+ecc0, and drops the leaves of ecc0 below mu.  It runs once per face
+star for (S2): for each face s with 1 <= |s| <= d-2, the chosen facets
+holding s must be connected (those holding a (d-1)-face are pairwise
+adjacent), so each leaf searches from its lowest chosen facet of the
+star, along the dual-graph edges inside the star; the smallest stars go
+first and a block ends once no leaf passes.  Then at most two kinds of
+leaf go, in position order and with their ecc0, through the proved
+bound and the tie-break: the smaller facet count, then vertex
+invariants read off the star masks, then the canonical form.  First the
+lowest leaf of ecc0 above the proved bound, which raises as a
+leaf-by-leaf run would (no rule drops an ecc0 above mu); then the
+block's best class, its leaves of largest ecc0 with the fewest facets
+among those, unless that ecc0 is below mu, or is mu with more facets
+than the incumbent.  The incumbent is the earliest minimum of (-ecc0,
+pre-key, canonical key), and the pre-key starts with the facet count,
+so each leaf of the class beats every other leaf of the block: after
+each block the incumbent is the one a leaf-by-leaf run would leave.
+The result reports the witness's diameter, through the proved bound
+again.  On a budgeted run it may exceed the witness's ecc0; an
+exhaustive run where it does raises ContractViolation, or BadParams if
+it resumed a checkpoint, whose trusted tasks may hold the leaf of
+largest ecc0.
 
 A flat loop over the tasks feeds the blocks to the evaluator, counts the
 covering positions, keeps only the lowest ones a node budget allows and
@@ -59,33 +67,35 @@ on) maps it to a leaf visited earlier; the leaf count and the node
 budget still count every covering leaf.  This changes no output at any
 budget cut.  Every dropped leaf has an isomorphic copy earlier, so the
 first leaf of each G-orbit is kept.  The incumbent after any prefix of
-the visit order is the earliest leaf that minimises (-diameter, pre-key,
-canonical key); all three are isomorphism-invariant, so no leaf of its
-orbit comes before it, and it is kept.  So is the earliest leaf above
-the proved bound.  The filter runs per block in two stages: the block's
-fixed prefix decides each transposition up to the first pair of
-candidates it moves that touches the block, dropping the whole block or
-passing it; the transpositions still open walk the remaining pairs with
-an "equal so far" mask over the block's positions.
+the visit order is the earliest leaf that minimises (-ecc0, pre-key,
+canonical key); G fixes candidate 0, so ecc0 is G-invariant, and the
+other two are isomorphism-invariant, so no leaf of its orbit comes
+before it, and it is kept.  So is the earliest leaf above the proved
+bound.  The filter runs per block in two stages: the block's fixed
+prefix decides each transposition up to the first pair of candidates it
+moves that touches the block, dropping the whole block or passing it;
+the transpositions still open walk the remaining pairs with an "equal so
+far" mask over the block's positions.
 
 Once there is an incumbent, each finished task leaves a snapshot of the
 finished tasks and the incumbent, so a checkpoint that marks tasks done
-always holds one; a checkpoint's incumbent re-enters through the
-evaluator as a block of one position.  The latest snapshot is written
-once _CHECKPOINT_SECONDS have passed since the search started or the
-last write, and when the task loop is left by any path with it not yet
+always holds one.  The incumbent is recorded with its ecc0, and
+re-enters through the evaluator as a block of one position, which must
+give it that ecc0.  The latest snapshot is written once
+_CHECKPOINT_SECONDS have passed since the search started or the last
+write, and when the task loop is left by any path with it not yet
 written, so a run leaves the file a write per task would leave; a hard
 kill or a power loss can lose the last _CHECKPOINT_SECONDS of tasks.
 Each finished task is recorded with its leaf count (`done T L`), and a
 resumed run starts its leaf count at their sum, reported as
-resumed_leaves: it ends with an uninterrupted run's total, a node
-budget counts the recorded leaves, and a resumed exhaustive run that
-does not count leaf_count(d, n) leaves raises BadParams.  A run is exhaustive exactly when no budget
-stopped it before a leaf; an exhaustive run always has a witness, since
-the complex of all candidates is a connected (S2) leaf.  A checkpoint
-that is a directory, or whose directory is missing or not writable,
-raises BadParams before the first task, as does one that is not None,
-a non-empty str or an os.PathLike.
+resumed_leaves: it ends with an uninterrupted run's total, a node budget
+counts the recorded leaves, and a resumed exhaustive run that does not
+count leaf_count(d, n) leaves raises BadParams.  A run is exhaustive
+exactly when no budget stopped it before a leaf; an exhaustive run
+always has a witness, since the complex of all candidates is a connected
+(S2) leaf.  A checkpoint that is a directory, or whose directory is
+missing or not writable, raises BadParams before the first task, as does
+one that is not None, a non-empty str or an os.PathLike.
 """
 
 from __future__ import annotations
@@ -367,24 +377,23 @@ def _write_checkpoint(path, d, n, done, incumbent):
         raise
 
 
-def _sliced_bfs(nbrs, pres, frontier, lo=0):
+def _sliced_bfs(nbrs, pres, frontier):
     """Bit-sliced BFS in every leaf of a block at once.
 
     Bit p of pres[i] says that leaf p holds node i, and nbrs[i] lists the
     neighbours of node i.  `frontier` maps each start node to the mask of
     the leaves that start there, each leaf at one node at most; the
-    search runs in those leaves.  Only the nodes from `lo` on count as
-    targets.  Returns `far`: far[r] is the mask of the leaves that hold a
-    target farther than r from their start (or one that it does not
-    reach), until no leaf grows or every target is reached; later levels
-    equal the last.  A neighbour that is reached or absent in every leaf
-    is not pushed.
+    search runs in those leaves.  Returns `far`: far[r] is the mask of the
+    leaves that hold a node farther than r from their start (or one that
+    it does not reach), until no leaf grows or every node is reached;
+    later levels equal the last.  A neighbour that is reached or absent
+    in every leaf is not pushed.
     """
     started = reduce(or_, frontier.values(), 0)
     todo = [p & started for p in pres]  # leaves in which node i is unreached
     for i, f in frontier.items():
         todo[i] ^= todo[i] & f
-    far = [reduce(or_, todo[lo:], 0)]
+    far = [reduce(or_, todo, 0)]
     while far[-1]:
         reach: dict[int, int] = {}
         for j, f in frontier.items():
@@ -399,7 +408,7 @@ def _sliced_bfs(nbrs, pres, frontier, lo=0):
                 frontier[i] = f
         if not frontier:
             break
-        far.append(reduce(or_, todo[lo:], 0))
+        far.append(reduce(or_, todo, 0))
     return far
 
 
@@ -488,7 +497,7 @@ class _Leaves:
                 (star, {i: tuple(j for j in self.nbrs[i] if fs >> j & 1)
                         for i in star}))
         self.best_bound = bounds(d, n).best
-        # the incumbent: diameter, witness, invariant pre-key, canonical key
+        # the incumbent: ecc0, witness, invariant pre-key, canonical key
         self.mu, self.witness, self.prekey, self.key = -1, None, None, None
 
     def evaluate(self, pres, covers):
@@ -496,25 +505,22 @@ class _Leaves:
 
         Bit p of pres[i] says that leaf p holds candidate i, and `covers`
         is the mask of the leaves, each holding candidate 0.  Returns
-        (live, wider): the mask of the connected (S2) leaves the probe
-        keeps, and wider[r], that of the live leaves of diameter > r, for
-        every r < m (every diameter is < m).  The incumbent is only read.
+        (live, wider): the mask of the connected (S2) leaves of ecc0 >= mu,
+        and wider[r], that of the live leaves of ecc0 > r, up to a level
+        that holds none.  The incumbent is only read.
         """
         nbrs = self.nbrs
-        m = len(nbrs)
         # candidate 0 is in every leaf: one BFS from it gives connectivity
-        # and the probe diameter <= 2 * eccentricity.  far0[r-1] holds the
-        # leaves of eccentricity >= r, and a leaf passes when
-        # 2 * eccentricity >= mu, since a leaf of diameter mu may tie
+        # and ecc0.  far0[r-1] holds the leaves of ecc0 >= r, and a leaf of
+        # ecc0 mu may tie
         far0 = _sliced_bfs(nbrs, pres, {0: covers})
         live = covers ^ far0[-1]
-        mu = self.mu
-        if mu >= 1:
-            live &= far0[min((mu + 1) // 2 - 1, len(far0) - 1)]
+        if self.mu >= 1:
+            live &= far0[min(self.mu - 1, len(far0) - 1)]
         # (S2): in each face star, the leaf's chosen candidates must all be
         # reached from the lowest of them
         for star, star_nbrs in self.face_stars:
-            sub, frontier, seen = [0] * m, {}, 0
+            sub, frontier, seen = [0] * len(nbrs), {}, 0
             for i in star:
                 sub[i] = p = pres[i] & live
                 if first := p ^ (p & seen):
@@ -523,16 +529,7 @@ class _Leaves:
             live ^= _sliced_bfs(star_nbrs, sub, frontier)[-1]
             if not live:
                 break
-        # a pair a < b at distance D lies in the sweep from a, which only
-        # targets the later nodes; the probe was the sweep from 0
-        pres = [p & live for p in pres]
-        wider = [f & live for f in far0] + [0] * (m - len(far0))
-        for s in range(1, m):
-            if pres[s]:
-                for r, f in enumerate(_sliced_bfs(nbrs, pres, {s: pres[s]},
-                                                  s + 1)):
-                    wider[r] |= f
-        return live, wider
+        return live, [f & live for f in far0]
 
     def block(self, prefix, covers, k):
         """Offer the covering leaves of one block to the incumbent.
@@ -551,50 +548,49 @@ class _Leaves:
         if not live:
             return
 
-        def offer(packed, diam):
+        def offer(packed, ecc):
             while packed:
                 b = packed & -packed
                 packed ^= b
                 self._offer(prefix | sum(1 << base + j for j, row
-                                         in enumerate(inc) if row & b), diam)
+                                         in enumerate(inc) if row & b), ecc)
         if over := wider[min(self.best_bound, len(wider) - 1)]:
             b = over & -over
             offer(b, sum(1 for w in wider if w & b))
-        # the largest diameter, then the most set bits: the fewest facets
-        top, diam = live, 0
-        while wider[diam]:
-            top, diam = wider[diam], diam + 1
+        # the largest ecc0, then the most set bits: the fewest facets
+        top, ecc = live, 0
+        while wider[ecc]:
+            top, ecc = wider[ecc], ecc + 1
         at_least, c = _packing(k)[-1], k
         while not (best := top & int.from_bytes(pops.translate(at_least[c]),
                                                 "little")):
             c -= 1
-        if diam > self.mu or diam == self.mu and (
+        if ecc > self.mu or ecc == self.mu and (
                 prefix.bit_count() + k - c <= self.prekey[0]):
-            offer(best, diam)
+            offer(best, ecc)
 
-    def _offer(self, chosen, diam):
-        """Offer one connected (S2) leaf of diameter `diam` to the incumbent."""
-        facets = tuple(sorted(self.cands[i] for i in vertices_of(chosen)))
+    def gate(self, cx, diam):
+        """The proved bound: raise BoundViolation if `diam`, the diameter of
+        cx or a lower bound on it, exceeds it."""
         if diam > self.best_bound:
-            cx = SimplicialComplex(self.n, facets)
             raise BoundViolation(
-                "diameter %d exceeds proved bound %d for d=%d n=%d: %r"
-                % (diam, self.best_bound, self.d, self.n, cx), cx)
-        if diam < self.mu:
-            return
-        # a tie keeps the minimal witness under (invariant pre-key,
-        # canonical key); the pre-key starts with the facet count, and
-        # the full canonicalization only runs inside the minimal
-        # invariant class
-        size = len(facets)
-        if diam == self.mu and size > self.prekey[0]:
-            return
-        pk = _prekey([s & chosen for s in self.star], size)
-        if diam == self.mu and pk > self.prekey:
-            return
+                "diameter %d or more exceeds proved bound %d for d=%d n=%d: "
+                "%r" % (diam, self.best_bound, self.d, self.n, cx), cx)
+
+    def _offer(self, chosen, ecc):
+        """Offer one connected (S2) leaf of ecc0 `ecc` to the incumbent;
+        block offers only a leaf that beats or ties the incumbent."""
+        facets = tuple(sorted(self.cands[i] for i in vertices_of(chosen)))
         cx = SimplicialComplex(self.n, facets)
-        if diam > self.mu or pk < self.prekey:
-            self.mu, self.witness, self.prekey, self.key = diam, cx, pk, None
+        self.gate(cx, ecc)
+        # a tie keeps the minimal witness under (invariant pre-key,
+        # canonical key); the full canonicalization only runs inside the
+        # minimal invariant class
+        pk = _prekey([s & chosen for s in self.star], len(facets))
+        if ecc == self.mu and pk > self.prekey:
+            return
+        if ecc > self.mu or pk < self.prekey:
+            self.mu, self.witness, self.prekey, self.key = ecc, cx, pk, None
         else:
             if self.key is None:
                 self.key = canonical_form(self.witness).facets
@@ -606,7 +602,7 @@ class _Leaves:
         """Offer a checkpoint's incumbent to a fresh evaluator, as a leaf.
 
         It must be a leaf, holding candidate 0, pass every rule and have
-        diameter mu; it is offered as a block of one position.
+        ecc0 mu; it is offered as a block of one position.
         """
         bits = {c: 1 << i for i, c in enumerate(self.cands)}
         chosen = reduce(or_, (bits.get(f, 0) for f in facets), 0)
@@ -616,7 +612,7 @@ class _Leaves:
         if self.witness is None or self.mu != mu:
             raise BadParams("checkpoint incumbent is not a connected (S2) "
                             "cover by distinct %d-sets, holding the first, "
-                            "of diameter %d" % (self.d, mu))
+                            "of ecc0 %d" % (self.d, mu))
 
 
 def _blocks(cands, levels, k):
@@ -842,22 +838,26 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
     finally:
         if snapshot is not None:
             _write_checkpoint(checkpoint, d, n, *snapshot)
-    if not stopped and nodes != leaf_count(d, n):
-        if resumed:
-            raise BadParams("checkpoint %s: the resumed mu(%d,%d) search "
-                            "counted %d leaves, not %d"
-                            % (checkpoint, d, n, nodes, leaf_count(d, n)))
-        raise ContractViolation("exhaustive mu(%d,%d) search visited %d "
-                                "leaves, not %d" % (d, n, nodes,
-                                                    leaf_count(d, n)))
-
-    witness = leaves.witness
+    witness, mu = leaves.witness, leaves.mu
     if witness is not None:
+        mu = diameter(build_dual_graph(witness))
+        leaves.gate(witness, mu)
         # report the witness in its canonical labeling, where exact
         key = canonical_form(witness)
         if key.exact:
             witness = SimplicialComplex(n, key.facets)
-    return SearchResult(d=d, n=n, mu=leaves.mu, witness=witness,
+    fault = None
+    if not stopped and nodes != leaf_count(d, n):
+        fault = "counted %d leaves, not %d" % (nodes, leaf_count(d, n))
+    elif not stopped and mu != leaves.mu:
+        fault = "found a witness of diameter %d, ecc0 %d" % (mu, leaves.mu)
+    if fault and resumed:
+        raise BadParams("checkpoint %s: the resumed mu(%d,%d) search %s"
+                        % (checkpoint, d, n, fault))
+    if fault:
+        raise ContractViolation("exhaustive mu(%d,%d) search %s"
+                                % (d, n, fault))
+    return SearchResult(d=d, n=n, mu=mu, witness=witness,
                         exhaustive=not stopped, nodes_explored=nodes,
                         elapsed=time.monotonic() - t_start,
                         resumed_leaves=resumed_leaves)

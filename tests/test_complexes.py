@@ -303,6 +303,17 @@ def test_ideal_antichain_degrees():
     assert all(g.bit_count() == a5.n - a5.d for g in ideal.generators)
 
 
+@pytest.mark.parametrize("masks,names,error", [
+    ([], None, EmptyInput),
+    ([3, -1], None, VertexOutOfRange),  # a negative mask
+    ([3, 1 << MAX_UNIVERSE], None, VertexOutOfRange),  # past the cap
+    ([3, 6], ("a", "b"), BadParams),  # three vertices, two names
+], ids=["no-facets", "negative", "past-cap", "name-table-size"])
+def test_from_masks_errors(masks, names, error):
+    with pytest.raises(error):
+        from_masks(masks, None, names)
+
+
 def test_from_masks_explicit_universe():
     cx = from_masks([0b011, 0b110], 3)
     assert cx.n == 3 and cx.d == 2

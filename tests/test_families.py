@@ -17,6 +17,7 @@ from srdual.errors import (BadParams, ContractViolation, SrdualError,
                            UnknownFamily, VertexOutOfRange)
 from srdual.families import FAMILY_NAMES, FamilyId, letters
 from srdual.gluing import GlueSpec, append_facet_chain, glue, right_vertex_map
+from srdual.serre import S2Verdict
 
 from conftest import corpus, track
 
@@ -80,6 +81,10 @@ def test_build_check_raises_typed_error(monkeypatch):
     # a typed error, not an assert, so `python -O` keeps the check
     monkeypatch.setattr(families, "expected_diameter", lambda fam: 99)
     with pytest.raises(ContractViolation, match="diameter 5 != 99"):
+        build(FamilyId("fig_a2"), check=True)
+    monkeypatch.undo()
+    monkeypatch.setattr(families, "is_s2", lambda cx: S2Verdict(False))
+    with pytest.raises(ContractViolation, match="fig_a2.*: not \\(S2\\)"):
         build(FamilyId("fig_a2"), check=True)
 
 

@@ -18,6 +18,7 @@ from srdual import (
 )
 from srdual.complexes import MAX_UNIVERSE
 from srdual.errors import (
+    BadParams,
     ContractViolation,
     DimensionMismatch,
     NotAFacet,
@@ -106,6 +107,18 @@ def test_level_constraints():
     glued = glue(GlueSpec(left, right, ident))
     assert [glued.facet_name(f) for f in glued.facets] == [
         "ABC", "CDE", "ABF", "DEG"]
+
+
+@pytest.mark.parametrize("identify,message", [
+    ({1: 1, 2: 1}, "not injective"),
+    ({99: 1}, "right vertex 99 out of range"),
+    ({-1: 1}, "right vertex -1 out of range"),
+    ({1: 99}, "left vertex 99 out of range"),
+])
+def test_right_vertex_map_rejects_bad_identifications(identify, message):
+    fig = build(FamilyId("fig_a2"), check=False)
+    with pytest.raises(BadParams, match=message):
+        gluing.right_vertex_map(GlueSpec(fig, fig, identify))
 
 
 def test_overlap_facets_antichain():

@@ -26,7 +26,7 @@ from srdual import (
     vertices_of,
 )
 from srdual.complexes import star_masks
-from srdual.dual_graph import UNBOUNDED, bfs
+from srdual.dual_graph import UNBOUNDED, bfs, eccentricity
 from srdual.errors import BadParams, ContractViolation, IsolatedVertex
 from srdual.families import FamilyId
 
@@ -89,6 +89,16 @@ def test_bounds_rejects_bad_params():
         with pytest.raises(BadParams):
             verify_bounds(cx, diam)
     assert verify_bounds(cx, None) and verify_bounds(cx, UNBOUNDED)
+
+
+@pytest.mark.parametrize("facets", [[[0, 1, 2]], [[0], [1]],
+                                    [[0, 1, 2], [2, 3]]],
+                         ids=["full-facet", "points", "not-pure"])
+def test_verify_bounds_holds_where_no_bound_applies(facets):
+    # a single full facet (d = n), points (d = 1) and a complex that is
+    # not pure have no (d, n) cell: bounds would raise BadParams
+    cx = from_facets(facets)
+    assert verify_bounds(cx) and verify_bounds(cx, 99)
 
 
 def test_verify_bounds_corpus_samples():
@@ -330,10 +340,11 @@ def test_search_matches_brute_force(d, n, leaves):
 class _ReferenceLeaves:
     """A leaf-by-leaf evaluator with the search's rules, kept as its oracle.
 
-    No blocks and no bit slices: `verdict` runs one BFS per face star and
-    a packed diameter, which also finds a disconnected leaf; `offer` runs
-    the proved bound and the tie-break; a call runs the eccentricity
-    probe, then both.
+    No blocks and no bit slices: `ecc0` runs one BFS from candidate 0,
+    which also finds a disconnected leaf; `verdict` runs one BFS per face
+    star and a packed diameter; `offer` runs the proved bound and the
+    tie-break; a call drops the leaves of ecc0 below mu, then runs the
+    other two.
     """
 
     def __init__(self, d, n):
@@ -385,36 +396,41 @@ class _ReferenceLeaves:
             steps += 1
         return steps
 
-    def __call__(self, chosen):
-        """Offer a leaf that passes the eccentricity probe and the verdict:
-        its diameter, or None when one of them drops it."""
-        levels = bfs(self.adj, chosen & -chosen, chosen)[1]
-        if 2 * (len(levels) - 1) < self.mu:
-            return None
-        diam = self.verdict(chosen)
-        if diam is not None:
-            self.offer(chosen, diam)
-        return diam
+    def ecc0(self, chosen):
+        """The eccentricity of candidate 0 in a leaf, or None when the
+        leaf is not connected."""
+        reached, levels = bfs(self.adj, 1, chosen)
+        return len(levels) - 1 if reached == chosen else None
 
-    def offer(self, chosen, diam):
-        """The proved bound, then the tie-break, for a connected (S2) leaf."""
+    def __call__(self, chosen):
+        """Offer a connected (S2) leaf of ecc0 at least mu: its ecc0, or
+        None when a rule drops it."""
+        ecc = self.ecc0(chosen)
+        if ecc is None or ecc < self.mu or self.verdict(chosen) is None:
+            return None
+        self.offer(chosen, ecc)
+        return ecc
+
+    def offer(self, chosen, ecc):
+        """The proved bound, then the tie-break, for a connected (S2) leaf
+        of ecc0 `ecc`."""
         idxs = vertices_of(chosen)
         cx = SimplicialComplex(self.n,
                                tuple(sorted(self.cands[i] for i in idxs)))
-        if diam > self.best_bound:
+        if ecc > self.best_bound:
             raise search.BoundViolation(
-                "diameter %d exceeds proved bound %d for d=%d n=%d: %r"
-                % (diam, self.best_bound, self.d, self.n, cx), cx)
-        if diam < self.mu:
+                "ecc0 %d exceeds proved bound %d for d=%d n=%d: %r"
+                % (ecc, self.best_bound, self.d, self.n, cx), cx)
+        if ecc < self.mu:
             return
         size = len(idxs)
-        if diam == self.mu and size > self.prekey[0]:
+        if ecc == self.mu and size > self.prekey[0]:
             return
         pk = search._prekey([s & chosen for s in self.star], size)
-        if diam == self.mu and pk > self.prekey:
+        if ecc == self.mu and pk > self.prekey:
             return
-        if diam > self.mu or pk < self.prekey:
-            self.mu, self.witness, self.prekey, self.key = diam, cx, pk, None
+        if ecc > self.mu or pk < self.prekey:
+            self.mu, self.witness, self.prekey, self.key = ecc, cx, pk, None
         else:
             if self.key is None:
                 self.key = canonical_form(self.witness).facets
@@ -473,8 +489,8 @@ def _block_ends(d, n, total):
                                        (4, 7, 20000), (4, 8, 2000)])
 def test_leaves_match_reference_evaluator(d, n, limit):
     # a search cut after N leaves ends where the reference evaluator
-    # ends after the first N reference leaves: on every block boundary
-    # and at seeded random N
+    # ends after the first N reference leaves, and reports its witness's
+    # diameter: on every block boundary and at seeded random N
     total = search.leaf_count(d, n) if limit is None else limit
     rng = random.Random(d * 100 + n)
     cuts = set(_block_ends(d, n, total))
@@ -485,7 +501,8 @@ def test_leaves_match_reference_evaluator(d, n, limit):
             islice(_reference_leaves(d, n), total), 1):
         ref(chosen)
         if count in cuts:
-            want[count] = (ref.mu, canonical_form(ref.witness).facets)
+            want[count] = (diameter(build_dual_graph(ref.witness)),
+                           canonical_form(ref.witness).facets)
     assert ref.witness is not None and set(want) >= cuts
     for cut in sorted(cuts):
         res = enumerate_mu(d, n, SearchBudget(max_nodes=cut))
@@ -499,6 +516,32 @@ def test_leaves_match_reference_evaluator(d, n, limit):
     fast.block(1, 1, 0)
     assert ref(1) == fast.mu == 0
     assert (fast.mu, fast.witness) == (ref.mu, ref.witness)
+
+
+@pytest.mark.parametrize("d,n,mu", [(3, 5, 2), (2, 6, 4), (4, 6, 2)])
+def test_largest_ecc0_is_the_largest_diameter(d, n, mu):
+    # the rooted search rests on this: over the connected (S2) leaves the
+    # largest ecc0 is the largest diameter, since a complex of diameter D
+    # has a leaf copy whose candidate 0 is one end of a pair at distance
+    # D; and each isomorphism class's diameter is the largest ecc0 over
+    # its leaf copies.  Diameters from the packed reference, ecc0 from
+    # bfs.  (3,6)'s 522,775 leaves are checked for the largest values in
+    # test_block_verdicts_match_the_oracles, which computes both for each
+    ref = _ReferenceLeaves(d, n)
+    by_class = {}  # canonical key -> (diameter, largest ecc0 of a copy)
+    for chosen in _reference_leaves(d, n):
+        diam = ref.verdict(chosen)
+        if diam is None:
+            continue
+        ecc = ref.ecc0(chosen)
+        key = canonical_form(SimplicialComplex(n, tuple(sorted(
+            ref.cands[i] for i in vertices_of(chosen))))).facets
+        was_diam, was_ecc = by_class.setdefault(key, (diam, ecc))
+        assert was_diam == diam, key
+        by_class[key] = (diam, max(was_ecc, ecc))
+    assert len(by_class) > 1
+    assert all(diam == ecc for diam, ecc in by_class.values())
+    assert max(diam for diam, _ in by_class.values()) == mu
 
 
 def _swap_image(chosen, cands, index, a, b):
@@ -570,36 +613,31 @@ def test_exhaustive_mu_2_8(monkeypatch):
     assert res.mu == 6 and res.exhaustive
     assert res.nodes_explored == search.leaf_count(2, 8) == 128_162_249
     assert res.witness.facets == (5, 10, 20, 40, 80, 160, 192)
-    assert len(offered) == 32
+    assert len(offered) == 52
 
 
 # counted at block width 16: fewer, wider blocks make fewer calls
-@pytest.mark.parametrize("d,n,probe,star,diam", [(2, 7, 5, 0, 46),
-                                                  (3, 6, 4, 24, 70)])
-def test_kernel_calls_are_pinned(monkeypatch, d, n, probe, star, diam):
-    # one probe per evaluated block, one call per face star until no
-    # leaf is live, and one diameter sweep per later candidate a live
-    # leaf holds: the probe is the sweep from candidate 0, and the sweep
-    # from s targets only the candidates after s
+@pytest.mark.parametrize("d,n,probe,star", [(2, 7, 5, 0), (3, 6, 4, 24)])
+def test_kernel_calls_are_pinned(monkeypatch, d, n, probe, star):
+    # one sweep from candidate 0 per evaluated block, and one call per
+    # face star until no leaf is live; no leaf needs its diameter
     assert search._BLOCK_LEVELS == 16
-    calls = {"probe": 0, "star": 0, "diam": 0}
+    calls = {"probe": 0, "star": 0}
     real = search._sliced_bfs
 
-    def sliced_bfs(nbrs, pres, frontier, lo=0):
-        kind = ("diam" if lo else "star" if isinstance(nbrs, dict)
-                else "probe")
-        calls[kind] += 1
-        return real(nbrs, pres, frontier, lo)
+    def sliced_bfs(nbrs, pres, frontier):
+        calls["star" if isinstance(nbrs, dict) else "probe"] += 1
+        return real(nbrs, pres, frontier)
     monkeypatch.setattr(search, "_sliced_bfs", sliced_bfs)
     assert enumerate_mu(d, n).exhaustive
-    assert calls == {"probe": probe, "star": star, "diam": diam}
+    assert calls == {"probe": probe, "star": star}
 
 
 # offers counted at block width 16: a block offers its lowest leaf above
 # the proved bound and its best class, so a wider block offers fewer
 @pytest.mark.parametrize("d,n,budget,offers", [
-    (2, 6, None, 5), (3, 6, None, 6), (4, 6, None, 3), (2, 7, None, 7),
-    (5, 7, None, 3), (3, 7, 20000, 1), (2, 7, 12345, 2)])
+    (2, 6, None, 2), (3, 6, None, 2), (4, 6, None, 2), (2, 7, None, 3),
+    (5, 7, None, 2), (3, 7, 20000, 3), (2, 7, 12345, 1)])
 def test_incumbents_do_not_depend_on_the_block_width(tmp_path, monkeypatch,
                                                      d, n, budget, offers):
     # the incumbent after every finished task, as the checkpoint records
@@ -632,21 +670,24 @@ def test_best_class_leaves_a_leaf_by_leaf_incumbent(monkeypatch, d, n,
     # order, as a leaf-by-leaf run offers them, ends every block with the
     # search's incumbent, its pre-key and its canonical key.  evaluate
     # runs on packed positions, read back through the kept bytes of the
-    # block's covers
+    # block's covers.  The result reports the witness's diameter
     ref, kept, blocks = _ReferenceLeaves(d, n), [], [0]
     evaluate, block = search._Leaves.evaluate, search._Leaves.block
 
     def evaluate_once(leaves, pres, covers):
         kept.append(evaluate(leaves, pres, covers))
+        live, wider = kept[-1]
+        # no leaf of ecc0 below mu is left live
+        assert leaves.mu < 1 or not live or wider[leaves.mu - 1] == live
         return kept[-1]
 
     def block_and_compare(leaves, prefix, covers, k):
         kept.clear()
         block(leaves, prefix, covers, k)
         (live, wider), = kept
-        for (_, diam), chosen in zip(_verdicts(live, wider), _block_leaves(
+        for (_, ecc), chosen in zip(_verdicts(live, wider), _block_leaves(
                 len(ref.cands), prefix, _unpack(covers, k, live), k)):
-            ref.offer(chosen, diam)
+            ref.offer(chosen, ecc)
         assert (ref.mu, ref.witness and ref.witness.facets, ref.prekey,
                 ref.key) == (leaves.mu, leaves.witness
                              and leaves.witness.facets, leaves.prekey,
@@ -655,7 +696,8 @@ def test_best_class_leaves_a_leaf_by_leaf_incumbent(monkeypatch, d, n,
     monkeypatch.setattr(search._Leaves, "evaluate", evaluate_once)
     monkeypatch.setattr(search._Leaves, "block", block_and_compare)
     res = enumerate_mu(d, n, SearchBudget(max_nodes=budget))
-    assert blocks[0] and res.mu == ref.mu >= 1
+    assert blocks[0] and ref.mu >= 1
+    assert res.mu == diameter(build_dual_graph(ref.witness)) >= ref.mu
 
 
 def _unpack(covers, k, packed):
@@ -778,8 +820,8 @@ def test_budget_cut_keeps_the_lowest_positions():
 def test_sliced_bfs_matches_per_leaf_bfs():
     # random graphs of up to 12 nodes, up to 64 leaves that each hold a
     # random node set and start at one node of it: bit p of far[r] is
-    # set exactly when leaf p holds a node >= lo farther than r from its
-    # start, or one it does not reach; levels past the end equal the last
+    # set exactly when leaf p holds a node farther than r from its start,
+    # or one it does not reach; levels past the end equal the last
     rng = random.Random(22)
     cut_off = 0  # leaves whose start misses some node
     for trial in range(400):
@@ -800,16 +842,14 @@ def test_sliced_bfs_matches_per_leaf_bfs():
         frontier = {}
         for p, (_, start) in enumerate(leaves):
             frontier[start] = frontier.get(start, 0) | 1 << p
-        for lo in (0, rng.randrange(m + 1)):
-            targets = (1 << m) - (1 << lo)
-            far = search._sliced_bfs(nbrs, pres, frontier, lo)
-            for p, (held, start) in enumerate(leaves):
-                reached, levels = bfs(adj, 1 << start, held)
-                cut_off += lo == 0 and reached != held
-                for r in range(m + 1):
-                    beyond = reduce(or_, levels[r + 1:], held & ~reached)
-                    got = far[min(r, len(far) - 1)] >> p & 1
-                    assert got == bool(beyond & targets), (trial, lo, p, r)
+        far = search._sliced_bfs(nbrs, pres, frontier)
+        for p, (held, start) in enumerate(leaves):
+            reached, levels = bfs(adj, 1 << start, held)
+            cut_off += reached != held
+            for r in range(m + 1):
+                beyond = reduce(or_, levels[r + 1:], held & ~reached)
+                got = far[min(r, len(far) - 1)] >> p & 1
+                assert got == bool(beyond), (trial, p, r)
     assert cut_off
 
 
@@ -818,17 +858,19 @@ def test_sliced_bfs_matches_per_leaf_bfs():
                                        (4, 8, 1024)])
 def test_block_verdicts_match_the_oracles(d, n, limit):
     # with the incumbent at mu = -1, evaluate keeps exactly a block's
-    # connected (S2) leaves, each with its diameter: every leaf of a
-    # cell, or its first `limit` leaves with the block they end in cut to
-    # its lowest positions, as a node budget cuts it, and the complex of
-    # all candidates as a block of one position.  The reference verdict
-    # is checked against is_s2 and diameter on every leaf but (3,6)'s
-    # 522,775, where it stands alone
+    # connected (S2) leaves, each with its ecc0: every leaf of a cell, or
+    # its first `limit` leaves with the block they end in cut to its
+    # lowest positions, as a node budget cuts it, and the complex of all
+    # candidates as a block of one position.  The reference verdict and
+    # ecc0 are checked against is_s2, diameter and eccentricity on every
+    # leaf but (3,6)'s 522,775, where they stand alone.  Over a whole
+    # cell the largest ecc0 is the largest diameter, the rooted search's
+    # lemma
     leaves, ref = search._Leaves(d, n), _ReferenceLeaves(d, n)
     cands = leaves.cands
     m = len(cands)
     reference = (d, n) != (3, 6)
-    verdicts = []
+    verdicts, tops = [], {"ecc": -1, "diam": -1}
 
     def check(prefix, covers, k):
         pres = [covers if prefix >> i & 1 else 0 for i in range(m - k)]
@@ -841,10 +883,15 @@ def test_block_verdicts_match_the_oracles(d, n, limit):
             if reference:
                 cx = SimplicialComplex(n, tuple(c for i, c in enumerate(cands)
                                                 if chosen >> i & 1))
-                assert diam == (diameter(build_dual_graph(cx)) if is_s2(cx)
-                                else None), chosen
+                g = build_dual_graph(cx)
+                assert diam == (diameter(g) if is_s2(cx) else None), chosen
             if diam is not None:
-                want.append((p, diam))
+                ecc = ref.ecc0(chosen)
+                assert ecc <= diam, chosen
+                assert not reference or ecc == eccentricity(g, 0), chosen
+                want.append((p, ecc))
+                tops["ecc"] = max(tops["ecc"], ecc)
+                tops["diam"] = max(tops["diam"], diam)
         assert verdicts == want, (prefix, k)
         return covers.bit_count()
 
@@ -862,24 +909,26 @@ def test_block_verdicts_match_the_oracles(d, n, limit):
     assert checked == (search.leaf_count(d, n) if limit is None else limit)
     assert check((1 << m) - 1, 1, 0) == 1 and verdicts
     assert leaves.mu == -1
+    if limit is None:
+        assert tops["ecc"] == tops["diam"] == enumerate_mu(d, n).mu
 
 
-# mu, canonical witness and leaf count of budgeted runs, as computed by
-# the per-source BFS leaf diameter and the permutation canonical form;
-# the runs of 200,000 leaves, at block width 12, end 3,392 leaves into
-# a block of width 16
+# mu (the witness's diameter), canonical witness and leaf count of
+# budgeted runs, as computed by the reference evaluator, `diameter` and
+# the permutation canonical form; the runs of 200,000 leaves, at block
+# width 12, end 3,392 leaves into a block of width 16
 @pytest.mark.parametrize("d,n,budget,mu,facets", [
-    (3, 7, 20000, 4, (11, 21, 22, 49, 50, 52, 56, 67, 69, 70, 73, 74, 76,
-                      88, 97, 98, 100, 104, 112)),
-    (4, 8, 2000, 4, (39, 43, 46, 54, 58, 71, 75, 77, 78, 83, 85, 86, 89, 90,
-                     92, 99, 101, 102, 105, 106, 108, 113, 114, 116, 120,
+    (3, 7, 20000, 3, (14, 25, 26, 49, 50, 52, 56, 67, 69, 70, 73, 74, 76,
+                      84, 97, 98, 100, 104, 112)),
+    (4, 8, 2000, 4, (30, 39, 43, 45, 53, 57, 71, 75, 77, 78, 83, 85, 86, 89,
+                     90, 92, 99, 101, 102, 105, 106, 108, 113, 114, 116, 120,
                      135, 139, 141, 142, 147, 149, 150, 153, 154, 156, 163,
-                     165, 166, 169, 170, 172, 177, 178, 180, 184, 197, 201,
+                     165, 166, 169, 170, 172, 177, 178, 180, 184, 198, 202,
                      204, 209, 210, 212, 216, 225, 226, 228, 232, 240)),
-    (3, 7, 200000, 4, (26, 37, 44, 52, 67, 73, 74, 81, 82, 84, 88, 97, 98,
+    (3, 7, 200000, 3, (28, 38, 42, 50, 69, 73, 76, 81, 82, 84, 88, 97, 98,
                        100, 104, 112)),
-    (4, 7, 200000, 3, (71, 75, 85, 86, 89, 90, 101, 102, 105, 106, 108, 113,
-                       114, 116, 120)),
+    (4, 7, 200000, 3, (77, 78, 83, 85, 86, 89, 90, 101, 102, 105, 106, 108,
+                       113, 114, 116, 120)),
 ])
 def test_budgeted_search_is_pinned(d, n, budget, mu, facets):
     assert budget not in _block_ends(d, n, budget)
@@ -902,28 +951,42 @@ def test_mu_4_6_runs_the_separator_check():
 # the facets of the leaf that raises, ascending, as a run that offers
 # every live leaf in position order computes them
 _GATE_FACETS = {
-    (2, 6, 3): (3, 6, 10, 12, 33, 48),
+    (2, 6, 3): (3, 12, 20, 24, 33, 34, 36),
     (3, 6, 2): (7, 13, 14, 21, 22, 25, 26, 28, 37, 38, 41, 42, 44, 49, 50,
                 52, 56),
     (4, 6, 1): (15, 29, 30, 43, 45, 46, 51, 53, 54, 57, 58, 60),
     (2, 6, 1): (3, 6, 10, 12, 18, 20, 24, 33, 34, 36, 40, 48),
-    (2, 7, 3): (3, 6, 10, 12, 18, 20, 24, 33, 65, 96)}
+    (2, 7, 3): (3, 12, 20, 24, 33, 34, 36, 65, 66, 68, 96)}
 
 
 @pytest.mark.parametrize("d,n,best", list(_GATE_FACETS))
 def test_bound_gate_fires_inside_blocks(monkeypatch, d, n, best):
-    # with the bound lowered below mu, the lowest leaf above it raises,
-    # of diameter best + 1, not the block's leaf of largest diameter
-    # (diameters 4 and 5 in the last two cases): the block rules drop
-    # only diameters <= mu and the leaves that fail (S2)
+    # with the bound lowered below mu, the lowest leaf of ecc0 above it
+    # raises, of ecc0 best + 1, not the block's leaf of largest ecc0: the
+    # block rules drop only ecc0 <= mu and the leaves that fail (S2).
+    # Its first facet is candidate 0, {0..d-1}
     real = search.bounds
     monkeypatch.setattr(search, "bounds",
                         lambda d, n: replace(real(d, n), best=best))
     with pytest.raises(search.BoundViolation) as ei:
         enumerate_mu(d, n)
-    assert is_s2(ei.value.complex_)
-    assert diameter(build_dual_graph(ei.value.complex_)) == best + 1
-    assert ei.value.complex_.facets == _GATE_FACETS[d, n, best]
+    cx = ei.value.complex_
+    assert is_s2(cx) and cx.facets[0] == (1 << d) - 1
+    g = build_dual_graph(cx)
+    assert eccentricity(g, 0) == best + 1 <= diameter(g)
+    assert cx.facets == _GATE_FACETS[d, n, best]
+
+
+def test_bound_gate_checks_the_witness_diameter(monkeypatch):
+    # (2,7) cut at 12,345 leaves ends with a witness of ecc0 3 and
+    # diameter 4: with the bound lowered to 3 no leaf raises inside a
+    # block, and the diameter the run would report does
+    real = search.bounds
+    monkeypatch.setattr(search, "bounds",
+                        lambda d, n: replace(real(d, n), best=3))
+    with pytest.raises(search.BoundViolation) as ei:
+        enumerate_mu(2, 7, SearchBudget(max_nodes=12345))
+    assert diameter(build_dual_graph(ei.value.complex_)) == 4
 
 
 def test_exhaustive_leaf_total_is_checked(monkeypatch):
@@ -1127,11 +1190,11 @@ def test_old_checkpoint_format_is_rejected(tmp_path):
 def test_resumed_leaf_total_is_checked(tmp_path):
     # an exhaustive resumed run must count L(d,n) leaves, those its
     # checkpoint records included; a budgeted one is not held to it
-    ck = _checkpoint(tmp_path, "d=2 n=6", "incumbent 3 3 5 9 12 24",
+    ck = _checkpoint(tmp_path, "d=2 n=6", "incumbent 3 3 6 c 18 28",
                      *("done %d 0" % t for t in range(7)))
     assert not enumerate_mu(2, 6, SearchBudget(max_nodes=100),
                             checkpoint=ck).exhaustive
-    with pytest.raises(BadParams, match="ck.txt"):
+    with pytest.raises(BadParams, match="ck.txt: .* counted 1984 leaves"):
         enumerate_mu(2, 6, checkpoint=ck)
 
 
@@ -1227,17 +1290,49 @@ def test_interrupted_run_leaves_its_last_finished_task(tmp_path,
     assert resumed.resumed_leaves == sum(after_task_4[0].values())
 
 
+_TRUSTED_COUNTS = [1663, 1758, 1758, 1864, 1758, 1864, 1864]
+
+
 def test_resumed_leaves_are_reported(tmp_path):
     # the leaves a resumed run took on trust: this file's tasks 0..6 with
-    # a valid mu = 3 incumbent resume to an exhaustive mu = 3, though
+    # a valid incumbent of ecc0 and diameter 3, the path {0,1} {1,2}
+    # {2,3} {3,4} with {3,5}, resume to an exhaustive mu = 3, though
     # mu(2,6) = 4, and the 12,529 trusted leaves show it
-    counts = [1663, 1758, 1758, 1864, 1758, 1864, 1864]
-    ck = _checkpoint(tmp_path, "d=2 n=6", "incumbent 3 3 5 9 12 24",
-                     *("done %d %d" % tc for tc in enumerate(counts)))
+    ck = _checkpoint(tmp_path, "d=2 n=6", "incumbent 3 3 6 c 18 28",
+                     *("done %d %d" % tc for tc in enumerate(_TRUSTED_COUNTS)))
     res = enumerate_mu(2, 6, checkpoint=ck)
     assert (res.mu, res.exhaustive, res.nodes_explored) == (3, True, 14513)
-    assert res.resumed_leaves == sum(counts) == 12529
+    assert res.resumed_leaves == sum(_TRUSTED_COUNTS) == 12529
     assert enumerate_mu(2, 6).resumed_leaves == 0
+
+
+def test_checkpoint_incumbent_is_read_as_its_ecc0(tmp_path):
+    # {0,1} {0,2} {0,3} {1,4} {2,5} has diameter 3 ({1,4} to {2,5}) but
+    # ecc0 2: a file that records it as 3, as one that recorded diameters
+    # did, is refused.  Recorded as 2, it resumes, but the witness the
+    # run ends with has diameter 3, which the trusted tasks must have
+    # hidden: an exhaustive resumed run refuses that too
+    facets = (3, 5, 9, 18, 36)
+    g = build_dual_graph(SimplicialComplex(6, facets))
+    assert (diameter(g), eccentricity(g, 0)) == (3, 2)
+    done = ["done %d %d" % tc for tc in enumerate(_TRUSTED_COUNTS)]
+    ck = _checkpoint(tmp_path, "d=2 n=6", "incumbent 3 3 5 9 12 24", *done)
+    with pytest.raises(BadParams, match="incumbent .* of ecc0 3"):
+        enumerate_mu(2, 6, checkpoint=ck)
+    ck = _checkpoint(tmp_path, "d=2 n=6", "incumbent 2 3 5 9 12 24", *done)
+    with pytest.raises(BadParams, match="ck.txt: .* diameter 3, ecc0 2"):
+        enumerate_mu(2, 6, checkpoint=ck)
+
+
+def test_exhaustive_witness_diameter_is_checked(monkeypatch):
+    # over every leaf the largest ecc0 is the largest diameter, so an
+    # exhaustive run whose witness has another diameter is a fault; a
+    # budgeted run reports the witness's diameter
+    real = search.diameter
+    monkeypatch.setattr(search, "diameter", lambda g: real(g) - 1)
+    with pytest.raises(ContractViolation, match="diameter 2, ecc0 3"):
+        enumerate_mu(2, 5)
+    assert enumerate_mu(2, 5, SearchBudget(max_nodes=426)).mu == 2
 
 
 @pytest.mark.parametrize("checkpoint", [123, "", b"ck.txt", 1.5])
