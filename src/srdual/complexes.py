@@ -158,13 +158,18 @@ def from_masks(masks: Iterable[int], universe_size: Optional[int] = None,
     masks = list(masks)
     if not masks:
         raise EmptyInput("no facets given")
+    union = 0
+    for m in masks:
+        if not (type(m) is int or _is_int(m)):  # a call only when rare
+            raise BadParams("facet masks must be integers, not %r" % (m,))
+        union |= m
+    if not (universe_size is None or _is_int(universe_size)):
+        raise BadParams("universe size must be an integer, not %r"
+                        % (universe_size,))
     if any(m == 0 for m in masks):
         raise EmptyInput("empty facet in input")
     if any(m < 0 for m in masks):
         raise VertexOutOfRange("negative vertex")
-    union = 0
-    for m in masks:
-        union |= m
     top = union.bit_length()
     if top > MAX_UNIVERSE:
         raise VertexOutOfRange("universe larger than %d vertices" % MAX_UNIVERSE)
@@ -198,10 +203,20 @@ def from_facets(facet_list: Iterable[Iterable[int]],
     Contained and duplicate facets are silently dropped (antichain
     reduction); the universe defaults to the union of the facets.
     """
-    facet_list = list(facet_list)
-    if not facet_list:
+    masks = []
+    for f in facet_list:
+        m = 0
+        for v in f:  # mask_of, after the checks that keep 1 << v small
+            if not (type(v) is int or _is_int(v)):  # a call only when rare
+                raise BadParams("vertex %r is not an integer" % (v,))
+            if not 0 <= v < MAX_UNIVERSE:
+                raise VertexOutOfRange("vertex %d outside 0..%d"
+                                       % (v, MAX_UNIVERSE - 1))
+            m |= 1 << v
+        masks.append(m)
+    if not masks:
         raise EmptyInput("no facets given")
-    return from_masks([mask_of(f) for f in facet_list], universe_size, names)
+    return from_masks(masks, universe_size, names)
 
 
 def compact(facets: Iterable[int],

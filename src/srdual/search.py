@@ -11,15 +11,17 @@ agree on all candidates but the last k (k = 16, or fewer on small
 cells); position p of a block includes the candidate m-k+j exactly when
 bit k-1-j of p is clear, so p = 0 includes all of them and positions
 run in the old include-first DFS order, and a 2^k-bit int holds one bit
-per position.  A generator yields the block prefixes in DFS order, with
-the mask of their covering positions: the AND of per-vertex cover
-patterns over the vertices the prefix misses.  The evaluator runs on
-the block packed to the bytes of that mask, after the orbit filter
-below, that hold a position to offer: packed position t is bit t & 7 of
-the (t >> 3)-th such byte, so the order is kept.  _pack alone spells the
-encoding, as one row per block candidate; the full block's rows feed the
-generator and the filter, and an offered leaf reads its candidates off
-the packed rows the evaluator ran on.
+per position.  One object per (d, n), _Leaves, holds this geometry and
+builds every table its blocks share once.  It yields a task's block
+prefixes in DFS order, with the mask of their covering positions: the
+AND of per-vertex cover patterns over the vertices the prefix misses.
+It evaluates a block packed to the bytes of that mask, after the orbit
+filter below, that hold a position to offer: packed position t is bit
+t & 7 of the (t >> 3)-th such byte, so the order is kept.  _pack alone
+spells the encoding, as one row per block candidate.  The full block's
+rows, cached per width, give the cover patterns and the filter's rows,
+and an offered leaf reads its candidates off the packed rows the
+evaluator ran on.
 
 The search is rooted: it scores a leaf by ecc0, the eccentricity of
 candidate 0 in its dual graph.  No ecc0 exceeds the diameter, and a
@@ -80,8 +82,8 @@ far" mask over the block's positions.
 Once there is an incumbent, each finished task leaves a snapshot of the
 finished tasks and the incumbent, so a checkpoint that marks tasks done
 always holds one.  The incumbent is recorded with its ecc0, and
-re-enters through the evaluator as a block of one position, which must
-give it that ecc0.  The latest snapshot is written once
+re-enters through the evaluator as the one position of a full-width
+block, which must give it that ecc0.  The latest snapshot is written once
 _CHECKPOINT_SECONDS have passed since the search started or the last
 write, and when the task loop is left by any path with it not yet
 written, so a run leaves the file a write per task would leave; a hard
@@ -315,19 +317,9 @@ _DONE_LINE = re.compile(r"done (\d+) (\d+)")
 _INCUMBENT_LINE = re.compile(r"incumbent (\d+)((?: [0-9a-f]+)*)")
 
 
-def _task_levels(d, n):
-    """Candidates after the forced first facet whose choice a task fixes."""
-    return min(_TASK_LEVELS, comb(n, d) - 1)
-
-
-def _block_levels(d, n):
-    """Candidates at the end of the order whose choice a block varies."""
-    return min(_BLOCK_LEVELS, comb(n, d) - 1 - _task_levels(d, n))
-
-
-def _read_checkpoint(path, d, n):
-    """The finished tasks of a checkpoint, each with its leaf count, and
-    its incumbent (mu, facets), or (-1, None) if it holds none."""
+def _read_checkpoint(path, d, n, tasks):
+    """The finished tasks (below `tasks`) of a checkpoint, each with its
+    leaf count, and its incumbent (mu, facets), or (-1, None) if none."""
     done: dict[int, int] = {}
     incumbent = (-1, None)
     try:
@@ -342,7 +334,6 @@ def _read_checkpoint(path, d, n):
     header = lines[1].split()
     if header != ["d=%d" % d, "n=%d" % n]:
         raise BadParams("checkpoint is for different parameters")
-    tasks = 1 << _task_levels(d, n)
     for ln in lines[2:]:
         if ((m := _DONE_LINE.fullmatch(ln)) and int(m[1]) < tasks
                 and int(m[1]) not in done):
@@ -462,33 +453,52 @@ def _pack(covers, k):
 @cache
 def _rows(k):
     """The rows _pack gives the full block of 2^k positions, which packing
-    leaves in place: the generator's and the orbit filter's inc."""
+    leaves in place: the rows of the cover patterns and the orbit filter,
+    shared by every cell of block width k."""
     return tuple(_pack((1 << (1 << k)) - 1, k)[1])
 
 
 class _Leaves:
-    """The leaf rules of one mu(d,n) search and the incumbent they keep.
+    """One mu(d,n) search cell: its tasks and blocks, the orbit filter,
+    the leaf rules and the incumbent they keep.
 
     Candidates are the size-d vertex sets in combinations order; a leaf
-    is the mask of the candidate indices it chooses.  Leaves are offered
-    a block at a time.
+    is the mask of the candidate indices it chooses, and its candidates
+    cover every vertex.  Candidate 0, {0..d-1}, is in every leaf; a task
+    fixes candidates 1..levels, bit l of the task saying whether
+    candidate 1 + l is in, and a block varies the last k, from base on.
+    The tables every block of the cell reads are built here, once.
     """
 
     def __init__(self, d, n):
         self.d, self.n = d, n
+        self.cands = cands = tuple(mask_of(c)
+                                   for c in combinations(range(n), d))
+        m = len(cands)
+        self.levels = levels = min(_TASK_LEVELS, m - 1)
+        self.k = k = min(_BLOCK_LEVELS, m - 1 - levels)
+        self.base = base = m - k
+        self.rows = rows = _rows(k)
+        self.every = (1 << (1 << k)) - 1  # the mask of all 2^k positions
+        # suffix_cover[i] = union of candidate vertex masks from index i on
+        self.suffix_cover = suffix_cover = [0] * (m + 1)
+        for i in range(m - 1, -1, -1):
+            suffix_cover[i] = suffix_cover[i + 1] | cands[i]
+        # hits[v]: the positions whose block candidates hold vertex v
+        block_cands = cands[base:]
+        self.hits = [reduce(or_, (s for s, c in zip(rows, block_cands)
+                                  if c >> v & 1), 0) for v in range(n)]
         # the complex of all candidates is only a carrier for the dual graph
-        self.cands = tuple(mask_of(c) for c in combinations(range(n), d))
-        m = len(self.cands)
-        adj = build_dual_graph(SimplicialComplex(n, self.cands)).adjacency
+        adj = build_dual_graph(SimplicialComplex(n, cands)).adjacency
         self.nbrs = tuple(tuple(j for j in range(m) if a >> j & 1)
                           for a in adj)
-        self.star = star_masks(self.cands, n)  # candidate-index mask per vertex
+        self.star = star_masks(cands, n)  # candidate-index mask per vertex
         # the candidate indices holding each face s with 1 <= |s| <= d-2,
         # smallest face star first, each with its neighbour lists cut
         # down to the star
         face_stars = sorted((reduce(and_, (self.star[v] for v in s))
-                             for k in range(1, d - 1)
-                             for s in combinations(range(n), k)),
+                             for size in range(1, d - 1)
+                             for s in combinations(range(n), size)),
                             key=int.bit_count)
         self.face_stars = []
         for fs in face_stars:
@@ -496,9 +506,97 @@ class _Leaves:
             self.face_stars.append(
                 (star, {i: tuple(j for j in self.nbrs[i] if fs >> j & 1)
                         for i in star}))
+        # the orbit filter's transpositions, each as (head, tail): see
+        # leaders
+        self.index = index = {c: i for i, c in enumerate(cands)}
+        self.swaps = []
+        for a, b in chain(combinations(range(d), 2),
+                          combinations(range(d, n), 2)):
+            ab = 1 << a | 1 << b
+            pairs, later = [], set()
+            for i in chain(range(levels, 0, -1), range(levels + 1, m)):
+                if (cands[i] & ab).bit_count() == 1 and i not in later:
+                    j = index[cands[i] ^ ab]
+                    later.add(j)
+                    pairs.append((i, j) if i <= levels else (j, i))
+            cut = next((p for p, pair in enumerate(pairs)
+                        if max(pair) >= base), len(pairs))
+            self.swaps.append((pairs[:cut], pairs[cut:]))
         self.best_bound = bounds(d, n).best
         # the incumbent: ecc0, witness, invariant pre-key, canonical key
         self.mu, self.witness, self.prekey, self.key = -1, None, None, None
+
+    def blocks(self, task):
+        """Yield the blocks of one task in include-first DFS order.
+
+        A block fixes the candidates below base as the mask `prefix`;
+        its position p includes candidate base + j when bit k-1-j of p is
+        clear, so positions run in the same include-first order.  Yields
+        (prefix, covers), covers the nonzero mask of positions whose
+        leaves cover every vertex.  A branch ends as soon as the
+        candidates still open cannot cover the vertices still missing.
+        """
+        cands, base, hits = self.cands, self.base, self.hits
+        suffix_cover, every = self.suffix_cover, self.every
+        full = suffix_cover[0]
+        chosen, covered = 1, cands[0]
+        for lvl in range(self.levels):
+            if task >> lvl & 1:
+                chosen |= 2 << lvl
+                covered |= cands[1 + lvl]
+        stack = [(1 + self.levels, chosen, covered)]
+        while stack:
+            idx, chosen, covered = stack.pop()
+            if idx == base:
+                covers, missing = every, full & ~covered
+                while missing and covers:
+                    b = missing & -missing
+                    covers &= hits[b.bit_length() - 1]
+                    missing ^= b
+                if covers:
+                    yield chosen, covers
+            elif covered | suffix_cover[idx] == full:
+                stack.append((idx + 1, chosen, covered))
+                stack.append((idx + 1, chosen | 1 << idx,
+                              covered | cands[idx]))
+
+    def leaders(self, prefix, covers):
+        """The positions of `covers` in the block `prefix` that no
+        transposition tau of G maps to a leaf visited earlier, as a mask.
+
+        tau(x) holds candidate i exactly when x holds tau(i), so x and
+        tau(x) first differ at the earlier candidate, in the visit order
+        of the module docstring, of a pair {i, tau(i)} that x holds one
+        of.  Each transposition is kept as its moved pairs (w, o), one per
+        pair, in that order: tau(x) comes first if x holds w and not o,
+        and x comes first if it holds o and not w.  `head` is the leading
+        run of pairs below the block candidates, which the block's prefix
+        decides for all its leaves; `tail` is the rest.
+        """
+        x = None  # x[i]: the positions of covers holding candidate i
+        for head, tail in self.swaps:
+            tau_first = 0  # 1 if tau(x) comes first, -1 if x does
+            for w, o in head:
+                if tau_first := (prefix >> w & 1) - (prefix >> o & 1):
+                    break
+            if tau_first > 0:
+                return 0  # in every leaf of the block
+            if tau_first < 0:
+                continue
+            if x is None:  # covers only shrinks, and eq stays inside it
+                x = [prefix >> i & 1 and covers for i in range(self.base)]
+                x += self.rows
+            eq = covers  # the leaves in which x and tau(x) agree so far
+            for w, o in tail:
+                xw = x[w]
+                first = eq & (xw ^ x[o])  # x and tau(x) first differ here
+                covers ^= covers & first & xw
+                eq ^= first
+                if not eq:
+                    break
+            if not covers:
+                return 0
+        return covers
 
     def evaluate(self, pres, covers):
         """Run every leaf rule but the bound gate and the tie-break.
@@ -531,18 +629,18 @@ class _Leaves:
                 break
         return live, [f & live for f in far0]
 
-    def block(self, prefix, covers, k):
+    def block(self, prefix, covers):
         """Offer the covering leaves of one block to the incumbent.
 
-        The block's leaves choose the candidates below m - k as `prefix`
+        The block's leaves choose the candidates below base as `prefix`
         does; position p chooses the last k as _pack says, and `covers` is
         the mask of the positions to offer.  evaluate runs on the positions
         packed by _pack; of the leaves it keeps, the lowest above the
         proved bound and then the best class go to _offer, as the module
         docstring says, each read off the packed rows evaluate ran on.
         """
+        k, base = self.k, self.base
         covers, inc, pops = _pack(covers, k)
-        base = len(self.nbrs) - k
         pres = [covers if prefix >> i & 1 else 0 for i in range(base)]
         live, wider = self.evaluate(pres + inc, covers)
         if not live:
@@ -602,132 +700,21 @@ class _Leaves:
         """Offer a checkpoint's incumbent to a fresh evaluator, as a leaf.
 
         It must be a leaf, holding candidate 0, pass every rule and have
-        ecc0 mu; it is offered as a block of one position.
+        ecc0 mu.  It is offered as the one position of a full-width
+        block: the position whose bit k-1-j is clear exactly for the
+        block candidates j it holds.
         """
-        bits = {c: 1 << i for i, c in enumerate(self.cands)}
-        chosen = reduce(or_, (bits.get(f, 0) for f in facets), 0)
+        index, k, base = self.index, self.k, self.base
+        chosen = reduce(or_, (1 << index[f] for f in facets if f in index), 0)
         if (chosen.bit_count() == len(facets) and chosen & 1
                 and reduce(or_, facets, 0) == (1 << self.n) - 1):
-            self.block(chosen, 1, 0)
+            p = sum(1 << k - 1 - j for j in range(k)
+                    if not chosen >> base + j & 1)
+            self.block(chosen & (1 << base) - 1, 1 << p)
         if self.witness is None or self.mu != mu:
             raise BadParams("checkpoint incumbent is not a connected (S2) "
                             "cover by distinct %d-sets, holding the first, "
                             "of ecc0 %d" % (self.d, mu))
-
-
-def _blocks(cands, levels, k):
-    """blocks(task), which yields the blocks of one task in include-first
-    DFS order; the tables they share are built once, for every task.
-
-    A leaf is a mask of candidate indices whose candidates cover every
-    vertex.  Candidate 0, {0..d-1}, is in every leaf; bit l of `task`
-    says whether candidate 1 + l is.  A block fixes the candidates below
-    m - k as the mask `prefix`; its position p includes candidate
-    m - k + j when bit k-1-j of p is clear, so positions run in the same
-    include-first order.  Yields (prefix, covers), covers the nonzero
-    mask of positions whose leaves cover every vertex.  A branch ends as
-    soon as the candidates still open cannot cover the vertices still
-    missing.
-    """
-    m = len(cands)
-    base = m - k
-    # suffix_cover[i] = union of candidate vertex masks from index i on
-    suffix_cover = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix_cover[i] = suffix_cover[i + 1] | cands[i]
-    full = suffix_cover[0]
-    # hits[v]: the positions whose block candidates hold vertex v
-    inc, block_cands = _rows(k), cands[base:]
-    hits = [reduce(or_, (s for s, c in zip(inc, block_cands) if c >> v & 1), 0)
-            for v in range(full.bit_length())]
-    every = (1 << (1 << k)) - 1
-
-    def blocks(task):
-        chosen, covered = 1, cands[0]
-        for lvl in range(levels):
-            if task >> lvl & 1:
-                chosen |= 2 << lvl
-                covered |= cands[1 + lvl]
-        stack = [(1 + levels, chosen, covered)]
-        while stack:
-            idx, chosen, covered = stack.pop()
-            if idx == base:
-                covers, missing = every, full & ~covered
-                while missing and covers:
-                    b = missing & -missing
-                    covers &= hits[b.bit_length() - 1]
-                    missing ^= b
-                if covers:
-                    yield chosen, covers
-            elif covered | suffix_cover[idx] == full:
-                stack.append((idx + 1, chosen, covered))
-                stack.append((idx + 1, chosen | 1 << idx,
-                              covered | cands[idx]))
-    return blocks
-
-
-class _Orbits:
-    """The orbit filter: it keeps a leaf x only if no transposition tau of
-    G maps it to a leaf visited earlier.
-
-    G, the relabelings that fix {0..d-1} as a set, permutes the leaves;
-    its transpositions swap two vertices below d or two from d on.  The
-    search visits leaves in lex order of the candidates levels, ..., 1,
-    each excluded first, then levels+1, ..., m-1, each included first.
-    tau(x) holds candidate i exactly when x holds tau(i), so x and tau(x)
-    first differ at the earlier candidate, in that order, of a pair
-    {i, tau(i)} that x holds one of.  Each transposition is kept as its
-    moved pairs (w, o), one per pair, in that order: tau(x) comes first
-    if x holds w and not o, and x comes first if it holds o and not w.
-    `head` is the leading run of pairs below the block candidates, which
-    the block's prefix decides for all its leaves; `tail` is the rest.
-    """
-
-    def __init__(self, d, n, cands, levels, k):
-        m = len(cands)
-        self.base, self.inc = m - k, _rows(k)
-        index = {c: i for i, c in enumerate(cands)}
-        self.swaps = []
-        for a, b in chain(combinations(range(d), 2),
-                          combinations(range(d, n), 2)):
-            ab = 1 << a | 1 << b
-            pairs, later = [], set()
-            for i in chain(range(levels, 0, -1), range(levels + 1, m)):
-                if (cands[i] & ab).bit_count() == 1 and i not in later:
-                    j = index[cands[i] ^ ab]
-                    later.add(j)
-                    pairs.append((i, j) if i <= levels else (j, i))
-            cut = next((p for p, pair in enumerate(pairs)
-                        if max(pair) >= self.base), len(pairs))
-            self.swaps.append((pairs[:cut], pairs[cut:]))
-
-    def leaders(self, prefix, covers):
-        """The positions of `covers` in the block `prefix` that no
-        transposition maps to an earlier leaf, as a mask."""
-        x = None  # x[i]: the positions of covers holding candidate i
-        for head, tail in self.swaps:
-            tau_first = 0  # 1 if tau(x) comes first, -1 if x does
-            for w, o in head:
-                if tau_first := (prefix >> w & 1) - (prefix >> o & 1):
-                    break
-            if tau_first > 0:
-                return 0  # in every leaf of the block
-            if tau_first < 0:
-                continue
-            if x is None:  # covers only shrinks, and eq stays inside it
-                x = [prefix >> i & 1 and covers for i in range(self.base)]
-                x += self.inc
-            eq = covers  # the leaves in which x and tau(x) agree so far
-            for w, o in tail:
-                xw = x[w]
-                first = eq & (xw ^ x[o])  # x and tau(x) first differ here
-                covers ^= covers & first & xw
-                eq ^= first
-                if not eq:
-                    break
-            if not covers:
-                return 0
-        return covers
 
 
 def _lowest(mask, count):
@@ -791,13 +778,10 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
                             "directory" % checkpoint)
     t_start = time.monotonic()
     leaves = _Leaves(d, n)
-    levels = _task_levels(d, n)
-    k = _block_levels(d, n)
-    orbits = _Orbits(d, n, leaves.cands, levels, k)
-    blocks = _blocks(leaves.cands, levels, k)
+    tasks = 1 << leaves.levels
     done: dict[int, int] = {}  # finished task -> its leaf count
     if checkpoint:
-        done, (ck_mu, ck_facets) = _read_checkpoint(checkpoint, d, n)
+        done, (ck_mu, ck_facets) = _read_checkpoint(checkpoint, d, n, tasks)
         if ck_facets is not None:
             leaves.resume(ck_mu, ck_facets)
     resumed = bool(done)
@@ -809,11 +793,11 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
     # the latest (done, incumbent) not yet written, and the last write
     snapshot, written = None, t_start
     try:
-        for t in range(1 << levels):
+        for t in range(tasks):
             if t in done:
                 continue
             start = nodes
-            for prefix, covers in blocks(t):
+            for prefix, covers in leaves.blocks(t):
                 left = None if max_nodes is None else max_nodes - nodes
                 if (left is not None and left <= 0 or max_seconds is not None
                         and time.monotonic() - t_start > max_seconds):
@@ -823,8 +807,8 @@ def enumerate_mu(d: int, n: int, budget: Optional[SearchBudget] = None,
                     # keep the first positions the budget allows
                     covers, stopped = _lowest(covers, left), True
                 nodes += covers.bit_count()
-                if covers := orbits.leaders(prefix, covers):
-                    leaves.block(prefix, covers, k)
+                if covers := leaves.leaders(prefix, covers):
+                    leaves.block(prefix, covers)
                 if stopped:
                     break
             if stopped:

@@ -32,7 +32,7 @@ from srdual import (
 )
 from srdual.complexes import image, mask_of
 from srdual.families import FamilyId
-from srdual.search import _task_levels, leaf_count
+from srdual.search import _Leaves, leaf_count
 from srdual.serre import connected_components
 
 from conftest import BOUND_CHECKS, corpus, random_pure_complex, track
@@ -274,7 +274,7 @@ def test_frontier_golden_records():
         assert golden["exhaustive"] and golden["resumed_leaves"] == 0
         assert golden["mu"] == bounds(d, n).best
         tasks = golden["task_leaves"]
-        assert len(tasks) == 1 << _task_levels(d, n)
+        assert len(tasks) == 1 << _Leaves(d, n).levels
         assert golden["nodes_explored"] == sum(tasks) == leaf_count(d, n)
         cx = from_masks(golden["witness_facet_masks"], n)
         assert cx.d == d

@@ -59,6 +59,11 @@ def test_from_facets_errors():
         from_facets([[0, 1]], universe_size=3)
     with pytest.raises(VertexOutOfRange):
         from_facets([[0, 5]], universe_size=3)
+    # vertex indices follow the one integer rule, and none is negative
+    for bad, error in (([0, "a"], BadParams), ([0, True], BadParams),
+                       ([0, -1], VertexOutOfRange)):
+        with pytest.raises(error):
+            from_facets([bad])
 
 
 def test_facets_sorted_and_duplicate_free():
@@ -303,15 +308,24 @@ def test_ideal_antichain_degrees():
     assert all(g.bit_count() == a5.n - a5.d for g in ideal.generators)
 
 
-@pytest.mark.parametrize("masks,names,error", [
-    ([], None, EmptyInput),
-    ([3, -1], None, VertexOutOfRange),  # a negative mask
-    ([3, 1 << MAX_UNIVERSE], None, VertexOutOfRange),  # past the cap
-    ([3, 6], ("a", "b"), BadParams),  # three vertices, two names
-], ids=["no-facets", "negative", "past-cap", "name-table-size"])
-def test_from_masks_errors(masks, names, error):
+# masks and the universe size follow the one integer rule: an int that
+# is not a bool
+@pytest.mark.parametrize("masks,universe,names,error", [
+    ([], None, None, EmptyInput),
+    ([3, -1], None, None, VertexOutOfRange),  # a negative mask
+    ([3, 1 << MAX_UNIVERSE], None, None, VertexOutOfRange),  # past the cap
+    ([3, 6], None, ("a", "b"), BadParams),  # three vertices, two names
+    ([3], 2.5, None, BadParams),
+    ([3], "2", None, BadParams),
+    ([1], True, None, BadParams),
+    ([3.0], None, None, BadParams),
+    ([True, 2], None, None, BadParams),
+], ids=["no-facets", "negative", "past-cap", "name-table-size",
+        "universe-2.5", "universe-str", "universe-True", "mask-3.0",
+        "mask-True"])
+def test_from_masks_errors(masks, universe, names, error):
     with pytest.raises(error):
-        from_masks(masks, None, names)
+        from_masks(masks, universe, names)
 
 
 def test_from_masks_explicit_universe():

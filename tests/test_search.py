@@ -1,8 +1,10 @@
+import json
 import os
 import random
 import time
 from dataclasses import replace
 from functools import cache, reduce
+from importlib import resources
 from itertools import chain, combinations, islice, permutations
 from operator import and_, or_
 
@@ -254,7 +256,7 @@ def test_checkpoint_resume(tmp_path):
 def test_checkpoint_survives_failed_write(tmp_path, monkeypatch):
     ck = str(tmp_path / "ck.txt")
     enumerate_mu(2, 5, checkpoint=ck)
-    before = search._read_checkpoint(ck, 2, 5)
+    before = search._read_checkpoint(ck, 2, 5, 8)
     assert set(before[0]) == set(range(8))
 
     real_open = open
@@ -278,7 +280,7 @@ def test_checkpoint_survives_failed_write(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         search._write_checkpoint(ck, 2, 5, {0: 1}, (1, (3, 6)))
     monkeypatch.undo()
-    assert search._read_checkpoint(ck, 2, 5) == before
+    assert search._read_checkpoint(ck, 2, 5, 8) == before
     assert os.listdir(tmp_path) == ["ck.txt"]
 
 
@@ -337,6 +339,28 @@ def test_search_matches_brute_force(d, n, leaves):
     assert res.mu == mu and res.exhaustive
 
 
+def _plain_bfs(adj, start, allowed):
+    """A BFS from the node mask `start` through the nodes of the mask
+    `allowed`, along the adjacency masks `adj`: (reached, ecc), the nodes
+    reached and the distance of the last level.  It stops once it has
+    reached every allowed node.  The reference's own, independent of
+    dual_graph.bfs."""
+    reached = frontier = start
+    ecc = 0
+    while reached != allowed:
+        grown = 0
+        while frontier:
+            b = frontier & -frontier
+            grown |= adj[b.bit_length() - 1]
+            frontier ^= b
+        frontier = grown & allowed & ~reached
+        if not frontier:
+            break
+        reached |= frontier
+        ecc += 1
+    return reached, ecc
+
+
 class _ReferenceLeaves:
     """A leaf-by-leaf evaluator with the search's rules, kept as its oracle.
 
@@ -344,7 +368,7 @@ class _ReferenceLeaves:
     which also finds a disconnected leaf; `verdict` runs one BFS per face
     star and a packed diameter; `offer` runs the proved bound and the
     tie-break; a call drops the leaves of ecc0 below mu, then runs the
-    other two.
+    other two.  Its BFS is _plain_bfs, not the library's.
     """
 
     def __init__(self, d, n):
@@ -371,7 +395,7 @@ class _ReferenceLeaves:
         adj = self.adj
         for fs in self.face_stars:
             sub = fs & chosen
-            if bfs(adj, sub & -sub, sub)[0] != sub:
+            if _plain_bfs(adj, sub & -sub, sub)[0] != sub:
                 return None
         # row p of one packed int, bits [p*m, (p+1)*m), is the ball around
         # the leaf's p-th facet, and each step grows every ball by one edge;
@@ -399,8 +423,8 @@ class _ReferenceLeaves:
     def ecc0(self, chosen):
         """The eccentricity of candidate 0 in a leaf, or None when the
         leaf is not connected."""
-        reached, levels = bfs(self.adj, 1, chosen)
-        return len(levels) - 1 if reached == chosen else None
+        reached, ecc = _plain_bfs(self.adj, 1, chosen)
+        return ecc if reached == chosen else None
 
     def __call__(self, chosen):
         """Offer a connected (S2) leaf of ecc0 at least mu: its ecc0, or
@@ -464,19 +488,17 @@ def test_tie_break_keeps_the_least_canonical_key():
 def _reference_leaves(d, n):
     """Every leaf of (d, n) in search order, from the reference DFS."""
     cands = [mask_of(c) for c in combinations(range(n), d)]
-    levels = search._task_levels(d, n)
+    levels = search._Leaves(d, n).levels
     return chain.from_iterable(_reference_task_leaves(cands, levels, t)
                                for t in range(1 << levels))
 
 
 def _block_ends(d, n, total):
     """Leaf counts at the ends of the search's blocks, up to `total`."""
-    cands = search._Leaves(d, n).cands
-    levels, k = search._task_levels(d, n), search._block_levels(d, n)
+    leaves = search._Leaves(d, n)
     ends, count = [], 0
-    blocks = search._blocks(cands, levels, k)
-    for t in range(1 << levels):
-        for _, covers in blocks(t):
+    for t in range(1 << leaves.levels):
+        for _, covers in leaves.blocks(t):
             count += covers.bit_count()
             if count > total:
                 return ends
@@ -511,9 +533,10 @@ def test_leaves_match_reference_evaluator(d, n, limit):
         assert res.nodes_explored == cut
         assert res.exhaustive == (cut == search.leaf_count(d, n))
     # no covering leaf has one facet, so candidate 0 on its own is
-    # offered to fresh evaluators as a block of one position
+    # offered to fresh evaluators as the last position of a full-width
+    # block, the one that holds no block candidate
     fast, ref = search._Leaves(d, n), _ReferenceLeaves(d, n)
-    fast.block(1, 1, 0)
+    fast.block(1, 1 << (1 << fast.k) - 1)
     assert ref(1) == fast.mu == 0
     assert (fast.mu, fast.witness) == (ref.mu, ref.witness)
 
@@ -525,7 +548,7 @@ def test_largest_ecc0_is_the_largest_diameter(d, n, mu):
     # has a leaf copy whose candidate 0 is one end of a pair at distance
     # D; and each isomorphism class's diameter is the largest ecc0 over
     # its leaf copies.  Diameters from the packed reference, ecc0 from
-    # bfs.  (3,6)'s 522,775 leaves are checked for the largest values in
+    # its BFS.  (3,6)'s 522,775 leaves are checked for the largest values in
     # test_block_verdicts_match_the_oracles, which computes both for each
     ref = _ReferenceLeaves(d, n)
     by_class = {}  # canonical key -> (diameter, largest ecc0 of a copy)
@@ -558,7 +581,8 @@ def _swap_image(chosen, cands, index, a, b):
 # the kept-leaf totals were counted by the relabeling reference below
 @pytest.mark.parametrize("d,n,kept", [(3, 5, 110), (2, 6, 745),
                                       (4, 6, 977)])
-def test_orbit_filter_matches_the_relabeling_reference(d, n, kept):
+def test_orbit_filter_matches_the_relabeling_reference(monkeypatch, d, n,
+                                                        kept):
     # a leaf is kept exactly when no transposition of two vertices below
     # d, or of two from d on, relabels it into a leaf the reference DFS
     # visits earlier.  Checked at the search's block width and at width
@@ -575,17 +599,17 @@ def test_orbit_filter_matches_the_relabeling_reference(d, n, kept):
                    for a, b in swaps)]
     assert len(want) == kept
     rng = random.Random(d * 100 + n)
-    levels = search._task_levels(d, n)
-    for k in {search._block_levels(d, n), 2}:
-        orbits = search._Orbits(d, n, cands, levels, k)
-        blocks = search._blocks(cands, levels, k)
+    for width in (search._BLOCK_LEVELS, 2):
+        monkeypatch.setattr(search, "_BLOCK_LEVELS", width)
+        cell = search._Leaves(d, n)
+        k = cell.k
         got = []
-        for t in range(1 << levels):
-            for prefix, covers in blocks(t):
-                leaders = orbits.leaders(prefix, covers)
+        for t in range(1 << cell.levels):
+            for prefix, covers in cell.blocks(t):
+                leaders = cell.leaders(prefix, covers)
                 got += _block_leaves(len(cands), prefix, leaders, k)
                 cut = covers & rng.getrandbits(1 << k)
-                assert orbits.leaders(prefix, cut) == leaders & cut
+                assert cell.leaders(prefix, cut) == leaders & cut
         assert got == want, k
     # every isomorphism class keeps a leaf
 
@@ -681,9 +705,10 @@ def test_best_class_leaves_a_leaf_by_leaf_incumbent(monkeypatch, d, n,
         assert leaves.mu < 1 or not live or wider[leaves.mu - 1] == live
         return kept[-1]
 
-    def block_and_compare(leaves, prefix, covers, k):
+    def block_and_compare(leaves, prefix, covers):
         kept.clear()
-        block(leaves, prefix, covers, k)
+        block(leaves, prefix, covers)
+        k = leaves.k
         (live, wider), = kept
         for (_, ecc), chosen in zip(_verdicts(live, wider), _block_leaves(
                 len(ref.cands), prefix, _unpack(covers, k, live), k)):
@@ -725,14 +750,11 @@ def _packing_cases():
             if covers:
                 yield 5, covers, k, k + 3
     for d, n in ((2, 6), (3, 6), (2, 7)):
-        cands = search._Leaves(d, n).cands
-        levels, k = search._task_levels(d, n), search._block_levels(d, n)
-        orbits = search._Orbits(d, n, cands, levels, k)
-        blocks = search._blocks(cands, levels, k)
-        for t in range(1 << levels):
-            for prefix, covers in blocks(t):
-                if covers := orbits.leaders(prefix, covers):
-                    yield prefix, covers, k, len(cands)
+        leaves = search._Leaves(d, n)
+        for t in range(1 << leaves.levels):
+            for prefix, covers in leaves.blocks(t):
+                if covers := leaves.leaders(prefix, covers):
+                    yield prefix, covers, leaves.k, len(leaves.cands)
 
 
 def test_packing_round_trips_a_block():
@@ -784,6 +806,8 @@ def test_position_tables_match_their_definition():
     # read, at every width
     for k in range(17):
         assert search._rows(k) == _full_rows(k), k
+    # the cells of one block width share the one cached copy
+    assert search._Leaves(2, 7).rows is search._Leaves(3, 6).rows
 
 
 def _old_cut(covers, left):
@@ -895,11 +919,10 @@ def test_block_verdicts_match_the_oracles(d, n, limit):
         assert verdicts == want, (prefix, k)
         return covers.bit_count()
 
-    levels, k = search._task_levels(d, n), search._block_levels(d, n)
-    blocks = search._blocks(cands, levels, k)
+    k = leaves.k
     checked = 0
-    for prefix, covers in chain.from_iterable(map(blocks,
-                                                  range(1 << levels))):
+    for prefix, covers in chain.from_iterable(map(leaves.blocks,
+                                                  range(1 << leaves.levels))):
         if limit is not None:
             if checked == limit:
                 break
@@ -1078,29 +1101,29 @@ def _block_leaves(m, prefix, covers, k):
     return (prefix | table[p] << (m - k) for p in _positions(covers))
 
 
-def _expand_blocks(cands, levels, task, k):
+def _expand_blocks(leaves, task):
     """A task's leaves read off its blocks."""
-    base = len(cands) - k
-    for prefix, covers in search._blocks(cands, levels, k)(task):
-        assert covers and prefix < 1 << base and prefix & 1
+    m, k = len(leaves.cands), leaves.k
+    for prefix, covers in leaves.blocks(task):
+        assert covers and prefix < 1 << m - k and prefix & 1
         assert covers < 1 << (1 << k)
-        yield from _block_leaves(len(cands), prefix, covers, k)
+        yield from _block_leaves(m, prefix, covers, k)
 
 
 @pytest.mark.parametrize("d,n,leaves", [(2, 3, 3), (3, 5, 497),
                                          (2, 6, 14513), (4, 6, 16353)])
-def test_leaf_generator_keeps_the_dfs_order(d, n, leaves):
+def test_leaf_generator_keeps_the_dfs_order(monkeypatch, d, n, leaves):
     # the search's blocks, and blocks of two levels, expand to the
     # reference leaves in order
     cands = [mask_of(c) for c in combinations(range(n), d)]
-    levels = search._task_levels(d, n)
-    widths = {search._block_levels(d, n), min(2, len(cands) - 1 - levels)}
-    for k in sorted(widths):
+    for width in (search._BLOCK_LEVELS, 2):
+        monkeypatch.setattr(search, "_BLOCK_LEVELS", width)
+        cell = search._Leaves(d, n)
         total = 0
-        for task in range(1 << levels):
-            got = list(_expand_blocks(cands, levels, task, k))
-            want = list(_reference_task_leaves(cands, levels, task))
-            assert got == want, (task, k)
+        for task in range(1 << cell.levels):
+            got = list(_expand_blocks(cell, task))
+            want = list(_reference_task_leaves(cands, cell.levels, task))
+            assert got == want, (task, cell.k)
             total += len(got)
         assert total == leaves == search.leaf_count(d, n)
 
@@ -1156,7 +1179,7 @@ def test_exhaustive_run_without_witness_is_rejected(tmp_path, d, n, tasks):
 def test_checkpoint_waits_for_an_incumbent(tmp_path):
     # task 0 of (2,3) leaves out both other candidates: it has no leaves,
     # so it finishes with no incumbent and no checkpoint is written
-    assert list(search._blocks(search._Leaves(2, 3).cands, 2, 0)(0)) == []
+    assert list(search._Leaves(2, 3).blocks(0)) == []
     ck = str(tmp_path / "ck.txt")
     stopped = enumerate_mu(2, 3, budget=SearchBudget(max_nodes=0),
                            checkpoint=ck)
@@ -1168,11 +1191,9 @@ def test_checkpoint_waits_for_an_incumbent(tmp_path):
 
 def _task_leaf_counts(d, n):
     """The number of leaves of each task of (d, n), read off its blocks."""
-    cands = [mask_of(c) for c in combinations(range(n), d)]
-    levels, k = search._task_levels(d, n), search._block_levels(d, n)
-    blocks = search._blocks(cands, levels, k)
-    return [sum(covers.bit_count() for _, covers in blocks(t))
-            for t in range(1 << levels)]
+    leaves = search._Leaves(d, n)
+    return [sum(covers.bit_count() for _, covers in leaves.blocks(t))
+            for t in range(1 << leaves.levels)]
 
 
 def test_old_checkpoint_format_is_rejected(tmp_path):
@@ -1204,7 +1225,7 @@ def test_resumed_run_ends_as_an_uninterrupted_one(tmp_path):
     # nodes_explored; the checkpoint records each task's leaf count
     ck = str(tmp_path / "ck.txt")
     enumerate_mu(2, 6, SearchBudget(max_nodes=6000), checkpoint=ck)
-    done, _ = search._read_checkpoint(ck, 2, 6)
+    done, _ = search._read_checkpoint(ck, 2, 6, 8)
     counts = _task_leaf_counts(2, 6)
     assert done and done == {t: counts[t] for t in done}
     for budget in (10000, None):
@@ -1270,8 +1291,8 @@ def test_interrupted_run_leaves_its_last_finished_task(tmp_path,
 
     real = search._Leaves.block
 
-    def block(leaves, prefix, covers, k):
-        real(leaves, prefix, covers, k)
+    def block(leaves, prefix, covers):
+        real(leaves, prefix, covers)
         if prefix >> 1 & 7 == 5:
             leaves.mu += 1  # as if the unfinished task had raised mu
             raise KeyboardInterrupt
@@ -1281,7 +1302,7 @@ def test_interrupted_run_leaves_its_last_finished_task(tmp_path,
     with pytest.raises(KeyboardInterrupt):
         enumerate_mu(4, 6, checkpoint=ck)
     assert len(writes) == 1
-    assert search._read_checkpoint(ck, 4, 6) == after_task_4
+    assert search._read_checkpoint(ck, 4, 6, 8) == after_task_4
     monkeypatch.undo()
     resumed = enumerate_mu(4, 6, checkpoint=ck)
     assert (resumed.mu, resumed.witness.facets, resumed.nodes_explored,
@@ -1324,6 +1345,26 @@ def test_checkpoint_incumbent_is_read_as_its_ecc0(tmp_path):
         enumerate_mu(2, 6, checkpoint=ck)
 
 
+@pytest.mark.parametrize("d,n", [(3, 6), (5, 7), (3, 7), (4, 7), (2, 9),
+                                 (6, 8)])
+def test_golden_witnesses_resume_at_their_mu(d, n):
+    # each golden witness, relabeled so that a facet of eccentricity mu
+    # is {0..d-1}, re-enters a fresh cell as a checkpoint incumbent of
+    # ecc0 mu: as the one position of a full-width block
+    golden = json.loads(resources.files("srdual.data").joinpath(
+        "mu_%d_%d_golden.json" % (d, n)).read_text())
+    mu, cx = golden["mu"], from_masks(golden["witness_facet_masks"], n)
+    g = build_dual_graph(cx)
+    far = next(f for i, f in enumerate(cx.facets) if eccentricity(g, i) == mu)
+    order = vertices_of(far) + vertices_of((1 << n) - 1 ^ far)
+    perm = [order.index(v) for v in range(n)]
+    facets = relabel(cx, perm).facets
+    assert facets[0] == (1 << d) - 1
+    leaves = search._Leaves(d, n)
+    leaves.resume(mu, facets)
+    assert leaves.mu == mu and leaves.witness.facets == facets
+
+
 def test_exhaustive_witness_diameter_is_checked(monkeypatch):
     # over every leaf the largest ecc0 is the largest diameter, so an
     # exhaustive run whose witness has another diameter is a fault; a
@@ -1349,7 +1390,7 @@ def test_checkpoint_must_be_a_path(monkeypatch, checkpoint):
 def test_checkpoint_may_be_a_path_object(tmp_path):
     ck = tmp_path / "ck.txt"
     assert enumerate_mu(2, 5, checkpoint=ck).resumed_leaves == 0
-    assert set(search._read_checkpoint(ck, 2, 5)[0]) == set(range(8))
+    assert set(search._read_checkpoint(ck, 2, 5, 8)[0]) == set(range(8))
     resumed = enumerate_mu(2, 5, checkpoint=ck)
     assert resumed.exhaustive and resumed.resumed_leaves == 427
 
